@@ -11,8 +11,8 @@ The small even cases are genuinely different: for m in {2, 4} the realified
 wreath group consists of signed permutation matrices, and its arrangement
 does sit inside the B4, D4 and F4 arrangements.
 
-This demo recomputes the H4 arrangement exactly; expect roughly half a
-minute.
+This demo recomputes the H4 arrangement exactly, from its four generating
+reflections and with no enumeration of the group.
 """
 
 import time

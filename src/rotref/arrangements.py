@@ -40,7 +40,14 @@ from rotref.linalg import (
     subspace_intersect,
     subspace_to_json,
 )
-from rotref.groups import MatrixGroup, classify, fixed_space, generated_by_reflections
+from rotref.groups import (
+    DEFAULT_CLOSURE_CAP,
+    ClosureCapExceeded,
+    MatrixGroup,
+    classify,
+    fixed_space,
+    generating_reflections,
+)
 
 __all__ = [
     "Arrangement",
@@ -444,48 +451,88 @@ def _seed_gen_fp(img, s: Subspace):
 
 
 def reflection_arrangement(w: MatrixGroup) -> Arrangement:
-    """Reflecting hyperplanes of a reflection group and their intersections
-    (the full space excluded)."""
-    if not generated_by_reflections(w):
+    """The flats of a reflection group: its reflecting hyperplanes and all
+    their intersections, the full space excluded.
+
+    One breadth-first search over flats, with no group closure.  Let R be a
+    set of reflections generating w (its generators when they all are
+    reflections, else every reflection among its elements).  The search
+    starts from the hyperplanes H_s, s in R, and from a member u makes the
+    flats s.u and u meet H_s for each s in R.  Both moves lead from flats to
+    flats, and the search reaches every flat:
+
+    (a) R meets every conjugacy class of reflections.  The abelianization
+        of a finite reflection group has one Z/2 factor per class: a sign
+        character is -1 on the reflections of one class and +1 on all
+        others (on a Coxeter generating set it respects the relations,
+        since generators joined by an odd bond are conjugate; for complex
+        reflections see Stanley, J. Algebra 49, 1977).  A class missed by R
+        would make that character trivial on R, hence on w.  So the orbits
+        of the H_s are all the reflecting hyperplanes.
+    (b) A flat X of codimension k >= 2 lies in some hyperplane, so by (a)
+        some conjugate X' of X lies in an H_s.  X' is cut out by k
+        hyperplanes with independent normals, H_s among them; the other
+        k - 1 meet in a flat Y of codimension k - 1 with X' = Y meet H_s.
+        By induction on k the search reaches Y, then X', then X.
+    (c) There are at most |w| - 1 proper flats.  The product of the
+        reflections in k hyperplanes through X with independent normals (a
+        Coxeter element of the parabolic subgroup fixing X; Steinberg 1964,
+        Humphreys, *Reflection Groups and Coxeter Groups* 1.12) has fixed
+        space exactly X, so distinct flats give distinct elements.  A
+        search that grows past DEFAULT_CLOSURE_CAP members therefore raises
+        ClosureCapExceeded, as the closure would, and it ends on an
+        infinite group too.
+
+    The provenance of a member lists the positions, in the canonical order
+    of the arrangement's hyperplanes (its members of dimension n - 1), of
+    every hyperplane containing it.  A one-sided mod-p filter rules out
+    most pairs; each pass is confirmed exactly, with normal . row = 0 for
+    every basis row of the member."""
+    refl = generating_reflections(w)
+    if refl is None:
         raise ValueError("group is not generated by its reflections")
     n, L = w.ambient_dim, w.conductor
-    hyperplanes = []
-    by_key = {}
-    for i, g in enumerate(w.elements):
-        if classify(g).tag == "reflection":
-            fs = fixed_space(g)
-            if fs.key not in by_key:
-                by_key[fs.key] = len(hyperplanes)
-                hyperplanes.append((fs, i))
-    normals = [h.annihilator_rows()[0] for h, _ in hyperplanes]
+    mirrors = [(s, fixed_space(s)) for s in refl]
     members = {}
     queue = []
-    for h, _ in hyperplanes:
-        members[h.key] = h
-        queue.append(h)
+
+    def visit(v):
+        if v.key not in members:
+            if len(members) >= DEFAULT_CLOSURE_CAP:
+                raise ClosureCapExceeded(
+                    f"more than {DEFAULT_CLOSURE_CAP} flats: group too large "
+                    "or not finite"
+                )
+            members[v.key] = v
+            queue.append(v)
+
+    for _, h in mirrors:
+        visit(h)
     qi = 0
     while qi < len(queue):
         u = queue[qi]
         qi += 1
-        for normal in normals:
-            v = _meet_hyperplane(u, normal)
-            if v.key not in members:
-                members[v.key] = v
-                queue.append(v)
+        for s, _ in mirrors:
+            visit(Subspace.from_rows(n, [s.apply(row) for row in u.basis], L))
+        for _, h in mirrors:
+            visit(_meet_hyperplane(u, h.annihilator_rows()[0]))
+
+    hyperplanes = sorted(
+        (u for u in members.values() if u.dim == n - 1), key=lambda u: u.sort_key()
+    )
     img = _mod_image(L)
-    hyper_fps = [_Fingerprint(img, h) for h, _ in hyperplanes]
+    filters = [(h.annihilator_rows()[0], _Fingerprint(img, h)) for h in hyperplanes]
     provenance = {}
     for u in members.values():
         u_fp = _Fingerprint(img, u)
-        containing = []
-        for idx, (h, _) in enumerate(hyperplanes):
-            if u.dim == n - 1:
-                if u.key == h.key:
-                    containing.append(idx)
-                continue
-            if _maybe_contained(img.p, u_fp, hyper_fps[idx]) and subspace_contains(h, u):
-                containing.append(idx)
-        provenance[u.key] = {"hyperplanes": containing}
+        provenance[u.key] = {
+            "hyperplanes": [
+                idx
+                for idx, (normal, h_fp) in enumerate(filters)
+                if _maybe_contained(img.p, u_fp, h_fp)
+                and all(_dot(normal, row).is_zero() for row in u.basis)
+            ]
+        }
     return _finalize(n, L, members, provenance)
 
 

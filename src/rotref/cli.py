@@ -31,7 +31,6 @@ from rotref.groups import (
     parse_label,
 )
 from rotref.verify import (
-    compute_threshold,
     survey_containments,
     verify_dichotomy,
     verify_lemma_AG,
@@ -200,11 +199,11 @@ def _dispatch(args) -> int:
         return _emit_reports([rep], args.json)
 
     if cmd == "threshold":
-        rep = verify_threshold()
-        res = compute_threshold(jobs=args.jobs)
-        for label, row in sorted(res.per_group.items()):
+        rep = verify_threshold(jobs=args.jobs)
+        cert = rep.certificate
+        for label, row in sorted(cert["per_group"].items()):
             print(f"  {label:8s} planes={row['planes']:4d} total={row['total']:5d}")
-        print(f"  m0_planes={res.m0_planes}  m0_total={res.m0_total}")
+        print(f"  m0_planes={cert['m0_planes']}  m0_total={cert['m0_total']}")
         return _emit_reports([rep], args.json)
 
     if cmd == "theorem":
@@ -268,7 +267,6 @@ def _dispatch(args) -> int:
 
     if cmd == "arrangement":
         grp = _group_from_ref(args.ref)
-        grp.ensure_elements()
         method = args.method
         if method == "auto":
             method = "reflection" if generated_by_reflections(grp) else "isotropy"
@@ -277,7 +275,7 @@ def _dispatch(args) -> int:
             if method == "reflection"
             else isotropy_arrangement(grp)
         )
-        print(f"group: {grp.name} (order {grp.order}), method: {method}")
+        print(f"group: {grp.name}, method: {method}")
         print(f"members by dimension: {dict(sorted(arr.dim_counts().items()))}")
         print(f"total members: {arr.size}")
         if args.json:

@@ -49,6 +49,7 @@ __all__ = [
     "classify",
     "is_rotation_group",
     "generated_by_reflections",
+    "generating_reflections",
     "parse_label",
     "catalog_group",
     "direct_sum",
@@ -241,17 +242,28 @@ def is_rotation_group(group: MatrixGroup):
     }
 
 
-def generated_by_reflections(group: MatrixGroup) -> bool:
-    if all(classify(g).tag == "reflection" for g in group.generators) and group.generators:
-        return True
+def generating_reflections(group: MatrixGroup):
+    """A tuple of reflections that generates the group, or None when the
+    reflections of the group do not generate it.
+
+    When every generator is a reflection the generators themselves are
+    returned and no closure is computed; otherwise the answer is the set of
+    all reflections among the enumerated elements."""
+    gens = group.generators
+    if gens and all(classify(g).tag == "reflection" for g in gens):
+        return gens
     elems = group.elements
     if len(elems) == 1:
-        return False
+        return None
     refl = [i for i, g in enumerate(elems) if classify(g).tag == "reflection"]
     if not refl:
-        return False
+        return None
     ok, _, _ = _greedy_generated(group, refl)
-    return ok
+    return tuple(elems[i] for i in refl) if ok else None
+
+
+def generated_by_reflections(group: MatrixGroup) -> bool:
+    return generating_reflections(group) is not None
 
 
 # ---------------------------------------------------------------------------

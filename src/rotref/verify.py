@@ -109,6 +109,17 @@ class VerificationReport:
         yield f"[{self.verdict.upper()}] {self.claim_id} {self.parameters} ({self.runtime_ms} ms)"
 
 
+def _map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], on `jobs` worker threads when jobs > 1; the
+    result order is the order of `items` either way."""
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def _report(claim_id, parameters, verdict, certificate, t0) -> VerificationReport:
     return VerificationReport(
         claim_id=claim_id,
@@ -140,9 +151,7 @@ def wreath_arrangement(m: int) -> Arrangement:
 def catalog_arrangement(label: str) -> Arrangement:
     arr = _CATALOG_ARR_CACHE.get(label)
     if arr is None:
-        grp = catalog_group(label)
-        grp.ensure_elements()
-        arr = reflection_arrangement(grp)
+        arr = reflection_arrangement(catalog_group(label))
         _CATALOG_ARR_CACHE[label] = arr
     return arr
 
@@ -295,7 +304,6 @@ def verify_dichotomy(p: int, q: int) -> VerificationReport:
     cached = _DICHOTOMY_CACHE.get(key)
     if cached is None:
         w = direct_sum(catalog_group(f"I2({p})"), catalog_group(f"I2({q})"))
-        w.ensure_elements()
         cached = structural_dichotomy_check(w)
         _DICHOTOMY_CACHE[key] = cached
     ok, report, arr = cached
@@ -351,14 +359,7 @@ def compute_threshold(jobs: int = 1) -> ThresholdResult:
             "total": arr.size,
         }
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(counts_for, BIG_FACTOR_LABELS))
-    else:
-        rows = [counts_for(lbl) for lbl in BIG_FACTOR_LABELS]
-    per_group = dict(rows)
+    per_group = dict(_map(counts_for, BIG_FACTOR_LABELS, jobs))
     max_planes = max(v["planes"] for v in per_group.values())
     max_total = max(v["total"] for v in per_group.values())
     result = ThresholdResult(
@@ -372,9 +373,9 @@ def compute_threshold(jobs: int = 1) -> ThresholdResult:
     return result
 
 
-def verify_threshold() -> VerificationReport:
+def verify_threshold(jobs: int = 1) -> VerificationReport:
     t0 = time.perf_counter()
-    res = compute_threshold()
+    res = compute_threshold(jobs=jobs)
     ok = res.m0_planes <= res.m0_total and res.max_planes_big_factor > 0
     dominant = max(res.per_group, key=lambda k: res.per_group[k]["planes"])
     cert = res.to_json_dict()
@@ -475,14 +476,7 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
                 "justification": "computed-arrangement",
             }
 
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(check, labels))
-        else:
-            rows = [check(lbl) for lbl in labels]
-        for label, payload in rows:
+        for label, payload in _map(check, labels, jobs):
             if payload is None:
                 containments.append(label)
                 part_i_entries.append({"group": label, "containment": True})

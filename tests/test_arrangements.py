@@ -1,16 +1,22 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from rotref.cyclo import CycNum, zeta_power
-from rotref.linalg import MatrixF, Subspace, subspace_intersect
+from rotref.cli import main
+from rotref.linalg import MatrixF, Subspace, subspace_contains, subspace_intersect
 from rotref.groups import (
+    ClosureCapExceeded,
+    MatrixGroup,
     catalog_group,
     closure,
     direct_sum,
+    group_to_json,
     realified_gmpn_group,
 )
+from rotref import arrangements
 from rotref.arrangements import (
     PhaseValue,
     PlanePreconditionError,
@@ -169,13 +175,70 @@ def test_oracle_equivalence_small(label):
 
 
 def test_reflection_provenance_hyperplanes():
-    g = catalog_group("B3")
-    g.ensure_elements()
-    arr = reflection_arrangement(g)
-    hyperplanes = arr.members_of_dim(2)
-    assert len(hyperplanes) == 9
-    for s, prov in zip(arr.subspaces, arr.provenance):
-        assert len(prov["hyperplanes"]) >= 1
+    # provenance indices are positions among the arrangement's own
+    # hyperplanes, and they name exactly the hyperplanes containing a member
+    for label, count in (("B3", 9), ("F4", 24)):
+        g = catalog_group(label)
+        arr = reflection_arrangement(g)
+        hyperplanes = arr.members_of_dim(g.ambient_dim - 1)
+        assert len(hyperplanes) == count
+        for s, prov in zip(arr.subspaces, arr.provenance):
+            assert prov["hyperplanes"] == [
+                j for j, h in enumerate(hyperplanes) if subspace_contains(h, s)
+            ]
+
+
+def test_reflection_arrangement_computes_no_closure():
+    fresh = MatrixGroup(catalog_group("H3").generators, name="H3")
+    arr = reflection_arrangement(fresh)
+    assert fresh._elements is None
+    assert arr.dim_counts() == {0: 1, 1: 31, 2: 15}
+
+
+def test_reflection_arrangement_from_non_reflection_generators():
+    one, zero = CycNum.one(4), CycNum.zero(4)
+    flip = MatrixF.from_rows([[one, zero], [zero, -one]])
+    quarter_turn = MatrixF.from_rows([[zero, -one], [one, zero]])
+    b2 = catalog_group("B2")
+    expected = reflection_arrangement(b2).key_set()
+    assert reflection_arrangement(MatrixGroup([flip, quarter_turn])).key_set() == expected
+    with_identity = MatrixGroup(b2.generators + (MatrixF.identity(2, 4),))
+    assert reflection_arrangement(with_identity).key_set() == expected
+
+
+def _infinite_dihedral_group():
+    # reflections in the roots (1, 0) and (1, 2): their mirrors meet at the
+    # angle arccos(1/sqrt 5), which is no rational multiple of pi
+    def q(a, b=1):
+        return CycNum.rational(4, Fraction(a, b))
+
+    s1 = MatrixF.from_rows([[q(-1), q(0)], [q(0), q(1)]])
+    s2 = MatrixF.from_rows([[q(3, 5), q(-4, 5)], [q(-4, 5), q(-3, 5)]])
+    return MatrixGroup([s1, s2], name="infinite dihedral")
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    # the flats of an infinite group have ever larger coefficients, so the
+    # search costs about a minute at the default cap; a small cap makes the
+    # same search stop quickly
+    monkeypatch.setattr(arrangements, "DEFAULT_CLOSURE_CAP", 500)
+
+
+def test_reflection_arrangement_of_infinite_group_hits_cap(small_cap):
+    with pytest.raises(ClosureCapExceeded):
+        reflection_arrangement(_infinite_dihedral_group())
+
+
+def test_cli_reflection_arrangement_of_infinite_group_exits_2(
+    small_cap, tmp_path, capsys
+):
+    path = tmp_path / "dihedral.json"
+    path.write_text(json.dumps(group_to_json(_infinite_dihedral_group())))
+    assert main(["arrangement", "compute", str(path), "--method", "reflection"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # -- containment -------------------------------------------------------------------

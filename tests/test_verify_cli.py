@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from rotref import verify
 from rotref.cli import main
 from rotref.verify import (
     verify_dichotomy,
@@ -179,3 +180,26 @@ def test_cli_usage_errors(capsys):
 
 def test_cli_survey_out_of_range(capsys):
     assert main(["survey", "--m-min", "2", "--m-max", "40"]) == 2
+
+
+def test_cli_threshold_honours_jobs(tmp_path, monkeypatch):
+    # the --jobs 2 run builds every arrangement anew on worker threads and
+    # must write the same bytes as the --jobs 1 run
+    compute = verify.compute_threshold
+    seen = []
+
+    def recording(jobs=1):
+        seen.append(jobs)
+        return compute(jobs=jobs)
+
+    monkeypatch.setattr(verify, "compute_threshold", recording)
+    blobs = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(verify, "_THRESHOLD_CACHE", [])
+        if jobs > 1:
+            monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+        path = tmp_path / f"threshold-{jobs}.json"
+        assert main(["threshold", "--jobs", str(jobs), "--json", str(path)]) == 0
+        blobs.append(path.read_bytes())
+    assert seen == [1, 2]
+    assert blobs[0] == blobs[1]
