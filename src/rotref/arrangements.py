@@ -45,6 +45,7 @@ from rotref.groups import (
     ClosureCapExceeded,
     MatrixGroup,
     classify,
+    element_order,
     fixed_space,
     generating_reflections,
 )
@@ -450,16 +451,41 @@ def _seed_gen_fp(img, s: Subspace):
     return fp
 
 
+def _trace(g: MatrixF) -> CycNum:
+    return sum((g.entry(i, i) for i in range(1, g.rows)), g.entry(0, 0))
+
+
+def _reject_infinite_pairs(refl):
+    """Raise ClosureCapExceeded when a reflection in `refl`, or the product
+    of two of them, cannot lie in a finite group.
+
+    An element of finite order has roots of unity as eigenvalues, so its
+    trace is an algebraic integer.  The powers 1, zeta_L, ..., of the
+    canonical form are an integral basis of Z[zeta_L], so a trace is an
+    algebraic integer exactly when its denominator is 1.  That test rejects
+    most infinite dihedral pairs at once; the exact order, bounded by the
+    closure cap, catches the rest (a shear has trace 2)."""
+    elems = list(refl)
+    elems += [s @ t for i, s in enumerate(refl) for t in refl[i + 1:]]
+    if any(_trace(g).den != 1 for g in elems):
+        raise ClosureCapExceeded(
+            "group not finite: a reflection or a product of two has a "
+            "trace that is not an algebraic integer"
+        )
+    for g in elems:
+        element_order(g)
+
+
 def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     """The flats of a reflection group: its reflecting hyperplanes and all
     their intersections, the full space excluded.
 
     One breadth-first search over flats, with no group closure.  Let R be a
     set of reflections generating w (its generators when they all are
-    reflections, else every reflection among its elements).  The search
-    starts from the hyperplanes H_s, s in R, and from a member u makes the
-    flats s.u and u meet H_s for each s in R.  Both moves lead from flats to
-    flats, and the search reaches every flat:
+    reflections, else a generating subset of the reflections among its
+    elements).  The search starts from the hyperplanes H_s, s in R, and from
+    a member u makes the flats s.u and u meet H_s for each s in R.  Both
+    moves lead from flats to flats, and the search reaches every flat:
 
     (a) R meets every conjugacy class of reflections.  The abelianization
         of a finite reflection group has one Z/2 factor per class: a sign
@@ -480,8 +506,18 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         Humphreys, *Reflection Groups and Coxeter Groups* 1.12) has fixed
         space exactly X, so distinct flats give distinct elements.  A
         search that grows past DEFAULT_CLOSURE_CAP members therefore raises
-        ClosureCapExceeded, as the closure would, and it ends on an
-        infinite group too.
+        ClosureCapExceeded, as the closure would.
+
+    The facts above hold for finite groups only.  Before the search, every
+    s and every product s.t of two members of R must have a trace that is
+    an algebraic integer and an order within the closure cap, as in any
+    finite group (see _reject_infinite_pairs); otherwise ClosureCapExceeded
+    is raised at once.  An infinite group that passes this check and has
+    infinitely many flats still stops at the cap.  One that passes it and
+    has finitely many flats (an affine Weyl group in its Tits
+    representation: its hyperplanes all contain the radical of the form)
+    is not detected, and its flats are returned: the route assumes a
+    finite group, as the closure-free search cannot count its elements.
 
     The provenance of a member lists the positions, in the canonical order
     of the arrangement's hyperplanes (its members of dimension n - 1), of
@@ -491,6 +527,7 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     refl = generating_reflections(w)
     if refl is None:
         raise ValueError("group is not generated by its reflections")
+    _reject_infinite_pairs(refl)
     n, L = w.ambient_dim, w.conductor
     mirrors = [(s, fixed_space(s)) for s in refl]
     members = {}

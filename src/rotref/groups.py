@@ -247,8 +247,8 @@ def generating_reflections(group: MatrixGroup):
     reflections of the group do not generate it.
 
     When every generator is a reflection the generators themselves are
-    returned and no closure is computed; otherwise the answer is the set of
-    all reflections among the enumerated elements."""
+    returned and no closure is computed; otherwise the answer is a subset of
+    the reflections among the enumerated elements that generates the group."""
     gens = group.generators
     if gens and all(classify(g).tag == "reflection" for g in gens):
         return gens
@@ -258,8 +258,8 @@ def generating_reflections(group: MatrixGroup):
     refl = [i for i, g in enumerate(elems) if classify(g).tag == "reflection"]
     if not refl:
         return None
-    ok, _, _ = _greedy_generated(group, refl)
-    return tuple(elems[i] for i in refl) if ok else None
+    ok, chosen, _ = _greedy_generated(group, refl)
+    return tuple(elems[i] for i in chosen) if ok else None
 
 
 def generated_by_reflections(group: MatrixGroup) -> bool:

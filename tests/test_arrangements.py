@@ -16,7 +16,6 @@ from rotref.groups import (
     group_to_json,
     realified_gmpn_group,
 )
-from rotref import arrangements
 from rotref.arrangements import (
     PhaseValue,
     PlanePreconditionError,
@@ -183,6 +182,7 @@ def test_reflection_provenance_hyperplanes():
         hyperplanes = arr.members_of_dim(g.ambient_dim - 1)
         assert len(hyperplanes) == count
         for s, prov in zip(arr.subspaces, arr.provenance):
+            assert prov["hyperplanes"]
             assert prov["hyperplanes"] == [
                 j for j, h in enumerate(hyperplanes) if subspace_contains(h, s)
             ]
@@ -206,35 +206,41 @@ def test_reflection_arrangement_from_non_reflection_generators():
     assert reflection_arrangement(with_identity).key_set() == expected
 
 
+def _q(a, b=1):
+    return CycNum.rational(4, Fraction(a, b))
+
+
 def _infinite_dihedral_group():
     # reflections in the roots (1, 0) and (1, 2): their mirrors meet at the
     # angle arccos(1/sqrt 5), which is no rational multiple of pi
-    def q(a, b=1):
-        return CycNum.rational(4, Fraction(a, b))
-
-    s1 = MatrixF.from_rows([[q(-1), q(0)], [q(0), q(1)]])
-    s2 = MatrixF.from_rows([[q(3, 5), q(-4, 5)], [q(-4, 5), q(-3, 5)]])
+    s1 = MatrixF.from_rows([[_q(-1), _q(0)], [_q(0), _q(1)]])
+    s2 = MatrixF.from_rows([[_q(3, 5), _q(-4, 5)], [_q(-4, 5), _q(-3, 5)]])
     return MatrixGroup([s1, s2], name="infinite dihedral")
 
 
-@pytest.fixture
-def small_cap(monkeypatch):
-    # the flats of an infinite group have ever larger coefficients, so the
-    # search costs about a minute at the default cap; a small cap makes the
-    # same search stop quickly
-    monkeypatch.setattr(arrangements, "DEFAULT_CLOSURE_CAP", 500)
+def _shear_group():
+    # two involutions with the same mirror span(e2) whose product is a
+    # shear: the group is infinite, yet it has a single flat
+    s1 = MatrixF.from_rows([[_q(-1), _q(0)], [_q(0), _q(1)]])
+    s2 = MatrixF.from_rows([[_q(-1), _q(0)], [_q(1), _q(1)]])
+    return MatrixGroup([s1, s2], name="shear")
 
 
-def test_reflection_arrangement_of_infinite_group_hits_cap(small_cap):
+INFINITE_GROUPS = [_infinite_dihedral_group, _shear_group]
+
+
+@pytest.mark.parametrize("make", INFINITE_GROUPS)
+def test_reflection_arrangement_of_infinite_group_hits_cap(make):
     with pytest.raises(ClosureCapExceeded):
-        reflection_arrangement(_infinite_dihedral_group())
+        reflection_arrangement(make())
 
 
+@pytest.mark.parametrize("make", INFINITE_GROUPS)
 def test_cli_reflection_arrangement_of_infinite_group_exits_2(
-    small_cap, tmp_path, capsys
+    make, tmp_path, capsys
 ):
-    path = tmp_path / "dihedral.json"
-    path.write_text(json.dumps(group_to_json(_infinite_dihedral_group())))
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group_to_json(make())))
     assert main(["arrangement", "compute", str(path), "--method", "reflection"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
