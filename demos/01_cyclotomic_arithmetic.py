@@ -30,7 +30,7 @@ for j in range(1, 5):
     s = s + zeta_power(5, j)
 show("sum of nontrivial 5th roots", s.pretty())
 
-print("\nfield inverses via the extended Euclidean algorithm:")
+print("\nfield inverses via the Galois norm: a^-1 = (other conjugates) / N(a):")
 a = CycNum.rational(5, 3) + zeta_power(5, 1)
 show("a", a.pretty())
 show("a * a^-1", (a * a.inv()).pretty())

@@ -35,6 +35,7 @@ from rotref.cyclo import (
 from rotref.linalg import (
     MatrixF,
     Subspace,
+    intersection_dim,
     meets_nontrivially,
     subspace_contains,
     subspace_intersect,
@@ -259,16 +260,10 @@ def _dot(a, b) -> CycNum:
     return acc
 
 
-def _meet_hyperplane(u: Subspace, normal) -> Subspace:
-    """Intersection of u with the hyperplane {x : normal . x = 0}."""
-    if u.is_zero():
-        return u
-    ts = [_dot(normal, row) for row in u.basis]
-    pivot = None
-    for idx, t in enumerate(ts):
-        if not t.is_zero():
-            pivot = idx
-            break
+def _meet_hyperplane(u: Subspace, ts) -> Subspace:
+    """Intersection of u with the hyperplane {x : normal . x = 0}, given the
+    dots ts[i] = normal . u.basis[i]."""
+    pivot = next((idx for idx, t in enumerate(ts) if not t.is_zero()), None)
     if pivot is None:
         return u
     inv = ts[pivot].inv()
@@ -287,8 +282,24 @@ def _meet_hyperplane(u: Subspace, normal) -> Subspace:
 
 def _intersect_with(u: Subspace, g: Subspace) -> Subspace:
     if g.dim == g.ambient_dim - 1:
-        return _meet_hyperplane(u, g.annihilator_rows()[0])
+        normal = g.annihilator_rows()[0]
+        return _meet_hyperplane(u, [_dot(normal, row) for row in u.basis])
     return subspace_intersect(u, g)
+
+
+def _reflection_vector(s: MatrixF, normal):
+    """The vector v with s.x = x - (normal . x) v, for an s whose fixed space
+    is the hyperplane {normal . x = 0}.  Then I - s has rank 1 and that
+    kernel, so I - s = v normal^T, and v is column j of I - s divided by
+    normal[j] for any j with normal[j] != 0."""
+    j = next(i for i, c in enumerate(normal) if not c.is_zero())
+    scale = normal[j].inv()
+    L = s.conductor
+    col = [
+        (CycNum.one(L) if i == j else CycNum.zero(L)) - s.entry(i, j)
+        for i in range(s.rows)
+    ]
+    return tuple(c * scale for c in col)
 
 
 def fixed_space_of_subset(group: MatrixGroup, indices) -> Subspace:
@@ -529,7 +540,11 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         raise ValueError("group is not generated by its reflections")
     _reject_infinite_pairs(refl)
     n, L = w.ambient_dim, w.conductor
-    mirrors = [(s, fixed_space(s)) for s in refl]
+    mirrors = []
+    for s in refl:
+        h = fixed_space(s)
+        normal = h.annihilator_rows()[0]
+        mirrors.append((h, normal, _reflection_vector(s, normal)))
     members = {}
     queue = []
 
@@ -543,16 +558,22 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
             members[v.key] = v
             queue.append(v)
 
-    for _, h in mirrors:
+    for h, _, _ in mirrors:
         visit(h)
     qi = 0
     while qi < len(queue):
         u = queue[qi]
         qi += 1
-        for s, _ in mirrors:
-            visit(Subspace.from_rows(n, [s.apply(row) for row in u.basis], L))
-        for _, h in mirrors:
-            visit(_meet_hyperplane(u, h.annihilator_rows()[0]))
+        for _, normal, v in mirrors:
+            ts = [_dot(normal, row) for row in u.basis]
+            if all(t.is_zero() for t in ts):
+                continue  # u lies in H_s, so s.u = u = u meet H_s
+            rows = [
+                row if t.is_zero() else [a - t * b for a, b in zip(row, v)]
+                for row, t in zip(u.basis, ts)
+            ]
+            visit(Subspace.from_rows(n, rows, L))
+            visit(_meet_hyperplane(u, ts))
 
     hyperplanes = sorted(
         (u for u in members.values() if u.dim == n - 1), key=lambda u: u.sort_key()
@@ -794,8 +815,8 @@ def structural_dichotomy_check(w: MatrixGroup, blocks=((0, 1), (2, 3))):
         elif p.key == v2.key:
             report.append("V2")
         else:
-            d1 = subspace_intersect(p, v1).dim
-            d2 = subspace_intersect(p, v2).dim
+            d1 = intersection_dim(p, v1)
+            d2 = intersection_dim(p, v2)
             if d1 == 1 and d2 == 1:
                 report.append("meets-both")
             else:

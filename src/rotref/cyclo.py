@@ -9,7 +9,7 @@ numerator vectors and denominators coincide, so CycNum values hash and
 compare structurally.
 
 All values are immutable; every operation is pure.  Per-conductor tables
-(Phi_L, power-reduction rows, conjugation rows) are computed once and
+(Phi_L and its power-reduction rows) are computed once and
 published to a module cache with write-once semantics, so values can be
 shared freely between threads.
 
@@ -53,13 +53,6 @@ class ConductorMismatch(ValueError):
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense, low degree first)
 # ---------------------------------------------------------------------------
-
-def _poly_trim(p):
-    n = len(p)
-    while n > 0 and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
 
 def _poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -126,7 +119,7 @@ def euler_phi(L: int) -> int:
 # ---------------------------------------------------------------------------
 
 class _Tables:
-    __slots__ = ("L", "phi", "poly", "power_rows", "conj_map")
+    __slots__ = ("L", "phi", "poly", "power_rows")
 
     def __init__(self, L: int):
         self.L = L
@@ -157,8 +150,6 @@ class _Tables:
                 prev = tuple(nxt)
                 rows.append(prev)
         self.power_rows = tuple(rows)
-        # conjugation acts on basis power t as x^(t*(L-1) mod L)
-        self.conj_map = tuple(self.power_rows[(t * (L - 1)) % L] for t in range(phi))
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -310,35 +301,49 @@ class CycNum:
         return CycNum.make(self.conductor, acc[:phi], self.den * other.den)
 
     def inv(self) -> "CycNum":
+        """a^-1 = prod_{k != 1} sigma_k(a) / N(a), with k over (Z/L)^x and
+        N(a) = a * prod_{k != 1} sigma_k(a) the rational field norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_L)")
         key = (self.conductor, self.num, self.den)
         cached = _INV_CACHE.get(key)
         if cached is not None:
             return cached
-        t = _tables(self.conductor)
-        a = [Fraction(v) for v in _poly_trim(list(self.num))]
-        s = _poly_inverse_mod(a, t.poly)
-        coeffs = [Fraction(0)] * t.phi
-        for i, c in enumerate(s):
-            coeffs[i] = c * self.den
-        out = CycNum.from_fractions(self.conductor, coeffs)
+        L = self.conductor
+        rest = CycNum.one(L)
+        for k in range(2, L):
+            if math.gcd(k, L) == 1:
+                rest = rest * self.galois(k)
+        norm = self * rest
+        if not norm.is_rational() or norm.is_zero():
+            raise ArithmeticError("field norm is not a nonzero rational")
+        out = CycNum.make(
+            L, [v * norm.den for v in rest.num], rest.den * norm.num[0]
+        )
         _INV_CACHE[key] = out
         return out
 
     def __truediv__(self, other: "CycNum") -> "CycNum":
         return self * other.inv()
 
-    def conj(self) -> "CycNum":
-        t = _tables(self.conductor)
+    def galois(self, k: int) -> "CycNum":
+        """The automorphism sigma_k: zeta_L -> zeta_L^k, for k prime to L."""
+        L = self.conductor
+        k %= L
+        if math.gcd(k, L) != 1:
+            raise ValueError(f"{k} is not a unit mod {L}")
+        t = _tables(L)
         phi = t.phi
         acc = [0] * phi
         for i, v in enumerate(self.num):
             if v:
-                row = t.conj_map[i]
-                for k in range(phi):
-                    acc[k] += v * row[k]
-        return CycNum.make(self.conductor, acc, self.den)
+                row = t.power_rows[(i * k) % L]
+                for j in range(phi):
+                    acc[j] += v * row[j]
+        return CycNum.make(L, acc, self.den)
+
+    def conj(self) -> "CycNum":
+        return self.galois(self.conductor - 1)
 
     def embed(self, L2: int) -> "CycNum":
         L = self.conductor
@@ -401,68 +406,6 @@ class CycNum:
 
 
 _INV_CACHE: dict[tuple, CycNum] = {}
-
-
-def _poly_inverse_mod(a, modulus):
-    """Inverse of polynomial a modulo the monic integer polynomial given by
-    `modulus`, via the extended Euclidean algorithm over Q."""
-    mod = [Fraction(c) for c in modulus]
-    r0, r1 = mod, [Fraction(c) for c in a]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        r1 = _frac_trim(r1)
-        if len(r1) == 0:
-            raise ZeroDivisionError("element shares a factor with Phi_L")
-        if len(r1) == 1:
-            c = r1[0]
-            return [v / c for v in s1]
-        q, r = _frac_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-
-
-def _frac_trim(p):
-    n = len(p)
-    while n > 0 and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
-
-def _frac_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _frac_trim(out)
-
-
-def _frac_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    dlead = den[-1]
-    for k in range(len(num) - 1, len(den) - 2, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        f = c / dlead
-        q[k - (len(den) - 1)] = f
-        for j in range(len(den)):
-            num[k - (len(den) - 1) + j] -= f * den[j]
-    return q, _frac_trim(num)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +539,10 @@ def cyc_to_json(a: CycNum) -> dict:
 
 def cyc_from_json(d: dict) -> CycNum:
     L = int(d["conductor"])
-    coeffs = [rational_from_json(s) for s in d["coeffs"]]
+    try:
+        coeffs = [rational_from_json(s) for s in d["coeffs"]]
+    except ZeroDivisionError:
+        raise ValueError("a coefficient has a zero denominator") from None
     if len(coeffs) != euler_phi(L):
         raise ValueError("coefficient vector length must equal phi(L)")
     return CycNum.from_fractions(L, coeffs)

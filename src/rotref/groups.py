@@ -735,6 +735,13 @@ def group_to_json(g: MatrixGroup) -> dict:
 
 
 def group_from_json(d: dict) -> MatrixGroup:
+    if not isinstance(d, dict):
+        raise ValueError("a JSON group must be an object")
+    missing = [k for k in ("ambient", "conductor", "generators") if k not in d]
+    if missing:
+        raise ValueError(f"JSON group lacks {', '.join(missing)}")
+    if not isinstance(d["generators"], list):
+        raise ValueError("JSON group generators must be a list")
     gens = [matrix_from_json(m) for m in d["generators"]]
     gens = [g.embed(int(d["conductor"])) for g in gens]
     return MatrixGroup(

@@ -29,6 +29,7 @@ __all__ = [
     "Subspace",
     "kernel",
     "subspace_intersect",
+    "intersection_dim",
     "subspace_sum",
     "subspace_equal",
     "subspace_contains",
@@ -457,13 +458,45 @@ def subspace_contains(u: Subspace, v: Subspace) -> bool:
     return all(u.contains_vector(row) for row in v.basis)
 
 
+def _rank(rows) -> int:
+    """Rank of a list of CycNum rows by fraction-free elimination,
+    row_r <- p * row_r - f * row_pivot: no inverse, no canonical form, and
+    only zero tests on the entries."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        sel = next(
+            (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None
+        )
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        rank += 1
+        for r in range(rank, len(rows)):
+            f = rows[r][col]
+            if f.is_zero():
+                continue
+            if p.is_one():
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+            else:
+                rows[r] = [p * a - f * b for a, b in zip(rows[r], prow)]
+        if rank == len(rows):
+            break
+    return rank
+
+
+def intersection_dim(u: Subspace, v: Subspace) -> int:
+    """dim(u meet v) = dim u + dim v - dim(u + v), with the rank of the
+    stacked bases found by _rank; no basis of the meet is built."""
+    _check_ambient(u, v)
+    return u.dim + v.dim - _rank(list(u.basis) + list(v.basis))
+
+
 def meets_nontrivially(u: Subspace, v: Subspace) -> bool:
     _check_ambient(u, v)
-    if u.is_zero() or v.is_zero():
-        return False
-    if u.dim + v.dim > u.ambient_dim:
-        return True
-    return subspace_intersect(u, v).dim >= 1
+    return u.dim + v.dim > u.ambient_dim or intersection_dim(u, v) >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,12 @@ import time
 from dataclasses import dataclass, field
 
 from rotref.cyclo import euler_phi
-from rotref.linalg import Subspace, subspace_intersect, subspace_to_json
+from rotref.linalg import (
+    Subspace,
+    intersection_dim,
+    meets_nontrivially,
+    subspace_to_json,
+)
 from rotref.groups import (
     BIG_FACTOR_LABELS,
     MatrixGroup,
@@ -179,7 +184,7 @@ def verify_lemma_AG(m: int) -> VerificationReport:
     pairwise_trivial = True
     for i, p in enumerate(got_planes):
         for q in got_planes[i + 1 :]:
-            if not subspace_intersect(p, q).is_zero():
+            if intersection_dim(p, q) != 0:
                 pairwise_trivial = False
     ok = planes_match and origin_ok and sizes_ok and pairwise_trivial
     cert = {
@@ -246,12 +251,13 @@ def verify_lemma_plane(m: int, samples: int, seed: int) -> VerificationReport:
     t0 = time.perf_counter()
     L = math.lcm(4, m)
     rng = random.Random(seed)
+    zeta_planes = [zeta_plane(L, m, j) for j in range(m)]
     histogram: dict[int, int] = {}
     witnesses = []
     corrected_ok = True
     for _ in range(samples):
         p = sample_rational_plane(rng, L)
-        met = [j for j in range(m) if _meets_zeta_plane(p, L, m, j)]
+        met = [j for j, z in enumerate(zeta_planes) if meets_nontrivially(p, z)]
         count = len(met)
         histogram[count] = histogram.get(count, 0) + 1
         if count >= 2:
@@ -284,12 +290,6 @@ def verify_lemma_plane(m: int, samples: int, seed: int) -> VerificationReport:
         cert,
         t0,
     )
-
-
-def _meets_zeta_plane(p, L, m, j):
-    from rotref.linalg import meets_nontrivially
-
-    return meets_nontrivially(p, zeta_plane(L, m, j))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from rotref.cyclo import CycNum, zeta_power
 from rotref.cli import main
 from rotref.linalg import MatrixF, Subspace, subspace_contains, subspace_intersect
 from rotref.groups import (
+    BIG_FACTOR_LABELS,
     ClosureCapExceeded,
     MatrixGroup,
     catalog_group,
     closure,
     direct_sum,
+    fixed_space,
     group_to_json,
     realified_gmpn_group,
 )
@@ -34,6 +36,7 @@ from rotref.arrangements import (
     wreath_plane_list,
     zeta_plane,
 )
+from rotref.arrangements import _dot, _reflection_vector
 
 
 # -- fixed spaces of subsets ---------------------------------------------------
@@ -186,6 +189,21 @@ def test_reflection_provenance_hyperplanes():
             assert prov["hyperplanes"] == [
                 j for j, h in enumerate(hyperplanes) if subspace_contains(h, s)
             ]
+
+
+@pytest.mark.parametrize("label", BIG_FACTOR_LABELS)
+def test_reflection_vector_gives_the_reflection(label):
+    # the flat search applies s as x -> x - (f_s . x) v_s
+    g = catalog_group(label)
+    n, L = g.ambient_dim, g.conductor
+    one, zero = CycNum.one(L), CycNum.zero(L)
+    for s in g.generators:
+        normal = fixed_space(s).annihilator_rows()[0]
+        v = _reflection_vector(s, normal)
+        for i in range(n):
+            x = [one if j == i else zero for j in range(n)]
+            t = _dot(normal, x)
+            assert tuple(a - t * b for a, b in zip(x, v)) == s.apply(x)
 
 
 def test_reflection_arrangement_computes_no_closure():

@@ -86,6 +86,43 @@ def test_inverse_roundtrip():
     assert a * a.inv() == CycNum.one(5)
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 8, 12, 20, 56, 140])
+def test_galois_norm_inverse(L):
+    # L = 1 and L = 2 have phi = 1: no conjugate besides the identity
+    rng = random.Random(L)
+    one = CycNum.one(L)
+    samples = [zeta_power(L, 1) + CycNum.rational(L, 2)]
+    samples += [_random_cyc(rng, L) for _ in range(4 if L < 100 else 2)]
+    for a in samples:
+        if not a.is_zero():
+            assert a * a.inv() == one
+
+
+def test_inverse_of_rational_is_rational():
+    for L in (1, 4, 5, 12, 20):
+        a = CycNum.rational(L, Fraction(-3, 7))
+        assert a.inv() == CycNum.rational(L, Fraction(-7, 3))
+        assert a.inv().is_rational()
+
+
+def test_conj_is_galois_minus_one():
+    rng = random.Random(3)
+    for L in (1, 2, 3, 4, 5, 12, 20):
+        for _ in range(5):
+            a = _random_cyc(rng, L)
+            assert a.conj() == a.galois(L - 1)
+
+
+def test_galois_is_automorphism_and_rejects_nonunits():
+    rng = random.Random(5)
+    a, b = _random_cyc(rng, 20), _random_cyc(rng, 20)
+    for k in (1, 3, 7, 9, 11, 13, 17, 19):
+        assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+    assert zeta_power(20, 1).galois(3) == zeta_power(20, 3)
+    with pytest.raises(ValueError):
+        a.galois(4)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         CycNum.one(4) / CycNum.zero(4)

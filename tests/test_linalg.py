@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotref.cyclo import ConductorMismatch, CycNum, real_imag_parts, zeta_power
 from rotref.linalg import (
     MatrixF,
     Subspace,
+    intersection_dim,
     kernel,
     matrix_from_json,
     matrix_to_json,
@@ -18,6 +21,7 @@ from rotref.linalg import (
     subspace_sum,
     subspace_to_json,
 )
+from rotref.linalg import _rank
 
 
 def rat(L, v):
@@ -239,6 +243,43 @@ def test_lattice_laws_random():
         c = subspace_contains(u, v)
         assert c == (subspace_intersect(u, v) == v)
         assert c == (subspace_sum(u, v) == u)
+
+
+# entries of Q(zeta_12): mostly small rationals, so that random rows are often
+# dependent, and some general field elements
+_entry12 = st.one_of(
+    st.integers(-2, 2).map(lambda v: rat(12, v)),
+    st.builds(
+        lambda nums, den: CycNum.make(12, nums, den),
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+        st.integers(1, 3),
+    ),
+)
+_rows12 = st.lists(st.lists(_entry12, min_size=4, max_size=4), max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rows12, _rows12, _rows12)
+def test_intersection_dim_matches_intersect(shared, own_u, own_v):
+    # u and v share the rows of `shared`, so nontrivial meets are common
+    u = Subspace.from_rows(4, (shared + own_u)[:4], 12)
+    v = Subspace.from_rows(4, (shared + own_v)[-4:], 12)
+    d = intersection_dim(u, v)
+    assert d == subspace_intersect(u, v).dim
+    assert d == intersection_dim(v, u)
+    assert meets_nontrivially(u, v) == (d >= 1)
+
+
+def test_fraction_free_rank_matches_rref():
+    # unstructured stacks, zero and repeated rows included, need row swaps
+    rng = random.Random(5)
+    for _ in range(300):
+        n, k = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [
+            [rat(12, rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(n)]
+            for _ in range(k)
+        ]
+        assert _rank(rows) == Subspace.from_rows(n, rows, 12).dim
 
 
 def test_ambient_mismatch_rejected():

@@ -169,6 +169,36 @@ def test_cli_survey(capsys):
     assert "m= 2" in out and "m= 3" in out
 
 
+def _drop_generators(d):
+    del d["generators"]
+    return d
+
+
+def _zero_denominator(d):
+    d["generators"][0]["entries"][0]["coeffs"][0] = "1/0"
+    return d
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop_generators,
+        lambda d: dict(d, generators=5),
+        lambda d: [d],
+        _zero_denominator,
+    ],
+    ids=["no-generators", "generators-not-a-list", "top-level-list", "zero-denominator"],
+)
+def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
+    path = tmp_path / "grp.json"
+    assert main(["group", "show", "B2", "--json", str(path)]) == 0
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["group", "show", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_usage_errors(capsys):
     assert main(["group", "show", "E8"]) == 2
     assert main(["lemma-ag", "--m", "0"]) == 2
