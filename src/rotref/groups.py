@@ -735,18 +735,15 @@ def group_to_json(g: MatrixGroup) -> dict:
 
 
 def group_from_json(d: dict) -> MatrixGroup:
-    if not isinstance(d, dict):
-        raise ValueError("a JSON group must be an object")
-    missing = [k for k in ("ambient", "conductor", "generators") if k not in d]
-    if missing:
-        raise ValueError(f"JSON group lacks {', '.join(missing)}")
-    if not isinstance(d["generators"], list):
-        raise ValueError("JSON group generators must be a list")
-    gens = [matrix_from_json(m) for m in d["generators"]]
-    gens = [g.embed(int(d["conductor"])) for g in gens]
-    return MatrixGroup(
-        gens,
-        ambient_dim=int(d["ambient"]),
-        conductor=int(d["conductor"]),
-        name=d.get("name"),
-    )
+    """Parse a group file; a missing key or a value of the wrong JSON type
+    anywhere in it raises ValueError."""
+    try:
+        L = int(d["conductor"])
+        n = int(d["ambient"])
+        gens = [matrix_from_json(m).embed(L) for m in d["generators"]]
+        name = d.get("name")
+    except KeyError as exc:
+        raise ValueError(f"JSON group lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"JSON group has a value of the wrong type: {exc}") from None
+    return MatrixGroup(gens, ambient_dim=n, conductor=L, name=name)

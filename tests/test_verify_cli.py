@@ -186,8 +186,17 @@ def _zero_denominator(d):
         lambda d: dict(d, generators=5),
         lambda d: [d],
         _zero_denominator,
+        lambda d: dict(d, generators=[5]),
+        lambda d: dict(d, generators=[{"rows": 2, "cols": 2}]),
     ],
-    ids=["no-generators", "generators-not-a-list", "top-level-list", "zero-denominator"],
+    ids=[
+        "no-generators",
+        "generators-not-a-list",
+        "top-level-list",
+        "zero-denominator",
+        "generator-not-an-object",
+        "generator-without-entries",
+    ],
 )
 def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
     path = tmp_path / "grp.json"
