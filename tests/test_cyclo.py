@@ -111,6 +111,12 @@ def test_conj_is_galois_minus_one():
         for _ in range(5):
             a = _random_cyc(rng, L)
             assert a.conj() == a.galois(L - 1)
+            # conjugation sends each zeta^i to zeta^-i
+            expected = CycNum.zero(L)
+            for i, v in enumerate(a.num):
+                c = CycNum.rational(L, Fraction(v, a.den))
+                expected = expected + c * zeta_power(L, -i)
+            assert a.conj() == expected
 
 
 def test_galois_is_automorphism_and_rejects_nonunits():
