@@ -11,8 +11,9 @@ and H is the stabilizer of a generic vector of U).
 
 Containment scans between subspaces are accelerated by a one-sided modular
 filter: entries are mapped through a ring homomorphism Z[zeta_L] -> F_p for
-a prime p = 1 (mod L), so a nonzero image certifies a nonzero exact value
-and only the (rare) zero images are confirmed with exact arithmetic.
+a prime p = 1 (mod L) (cyclo._ModImage), so a nonzero image certifies a
+nonzero exact value and only the (rare) zero images are confirmed with exact
+arithmetic.
 
 All outputs are deterministic: members are canonically sorted by dimension
 and then by their canonical basis; witnesses are chosen by that order.
@@ -28,6 +29,7 @@ from fractions import Fraction
 from rotref.cyclo import (
     ConductorMismatch,
     CycNum,
+    _mod_image,
     is_positive_real,
     real_imag_parts,
     zeta_power,
@@ -74,126 +76,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# modular fingerprints (one-sided exactness filter)
+# one-sided containment filter
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-class _ModImage:
-    """Ring homomorphism Z[zeta_L] -> F_p with p = 1 (mod L); zeta_L maps to
-    an element of exact multiplicative order L, hence to a root of Phi_L."""
-
-    def __init__(self, L: int):
-        self.L = L
-        t = (1 << 41) // L + 1
-        while not _is_prime(L * t + 1):
-            t += 1
-        p = L * t + 1
-        self.p = p
-        qs = _prime_factors(L)
-        g = None
-        for h in range(2, 1000):
-            cand = pow(h, (p - 1) // L, p)
-            if cand != 1 and all(pow(cand, L // q, p) != 1 for q in qs):
-                g = cand
-                break
-        if g is None:  # pragma: no cover
-            raise ArithmeticError("no order-L element found")
-        from rotref.cyclo import euler_phi
-
-        phi = euler_phi(L)
-        self.powers = [pow(g, i, p) for i in range(phi)]
-
-    def cyc(self, a: CycNum) -> int:
-        p = self.p
-        acc = 0
-        for v, gp in zip(a.num, self.powers):
-            if v:
-                acc += v * gp
-        if a.den == 1:
-            return acc % p
-        return acc * pow(a.den, -1, p) % p
-
-    def rows(self, rows_of_cyc):
-        return tuple(tuple(self.cyc(e) for e in row) for row in rows_of_cyc)
-
-
-_MOD_IMAGES: dict[int, _ModImage] = {}
-
-
-def _mod_image(L: int) -> _ModImage:
-    img = _MOD_IMAGES.get(L)
-    if img is None:
-        img = _ModImage(L)
-        _MOD_IMAGES[L] = img
-    return img
-
-
-class _Fingerprint:
-    __slots__ = ("img", "space", "_basis", "_ann")
-
-    def __init__(self, img: _ModImage, s: Subspace):
-        self.img = img
-        self.space = s
-        self._basis = None
-        self._ann = None
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = self.img.rows(self.space.basis)
-        return self._basis
-
-    @property
-    def ann(self):
-        if self._ann is None:
-            self._ann = self.img.rows(self.space.annihilator_rows())
-        return self._ann
-
-
-def _maybe_contained(p: int, small_fp: _Fingerprint, big_fp: _Fingerprint) -> bool:
+def _maybe_contained(small: Subspace, big: Subspace) -> bool:
     """False means 'certainly not contained'; True means 'probably', to be
-    confirmed exactly."""
-    for a in big_fp.ann:
-        for b in small_fp.basis:
+    confirmed exactly.  Uses the cached mod-p rows of both subspaces: a
+    nonzero image of annihilator . basis row certifies a nonzero value."""
+    p = _mod_image(small.conductor).p
+    for a in big.mod_annihilator_rows():
+        for b in small.mod_basis_rows():
             acc = 0
             for x, y in zip(a, b):
                 if x and y:
@@ -345,16 +237,15 @@ def _seed_fixed_spaces(group: MatrixGroup):
     return seeds
 
 
-def _containers_among_seeds(member: Subspace, member_fp, seeds, seed_fps, img):
+def _containers_among_seeds(member: Subspace, seeds):
     """Indices of seeds strictly containing `member` (mod-p filtered, then
     exactly confirmed)."""
     out = []
     d = member.dim
-    p = img.p
     for idx, (s, _) in enumerate(seeds):
         if s.dim <= d:
             continue
-        if not _maybe_contained(p, member_fp, seed_fps[idx]):
+        if not _maybe_contained(member, s):
             continue
         if subspace_contains(s, member):
             out.append(idx)
@@ -374,15 +265,13 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     seeds = _seed_fixed_spaces(group)
     if not seeds:
         return Arrangement(n, L, (), ())
-    img = _mod_image(L)
-    seed_fps = [_Fingerprint(img, s) for s, _ in seeds]
 
     # generator reduction: a seed is redundant for closure generation when it
     # equals the intersection of the seeds strictly containing it
     seed_containers = []
     gens = []
-    for idx, (s, _) in enumerate(seeds):
-        cont = _containers_among_seeds(s, seed_fps[idx], seeds, seed_fps, img)
+    for s, _ in seeds:
+        cont = _containers_among_seeds(s, seeds)
         seed_containers.append(cont)
         if not cont:
             gens.append(s)
@@ -407,11 +296,10 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     while qi < len(queue):
         u = queue[qi]
         qi += 1
-        u_fp = _Fingerprint(img, u)
         for g in gens:
             if (
                 g.dim >= u.dim
-                and _maybe_contained(img.p, u_fp, _seed_gen_fp(img, g))
+                and _maybe_contained(u, g)
                 and subspace_contains(g, u)
             ):
                 continue  # u is inside g, nothing new
@@ -425,16 +313,13 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     out = {}
     provenance = {}
     for u in members.values():
-        u_fp = _Fingerprint(img, u)
         own = seed_index_by_key.get(u.key)
         containing = []
         if own is not None:
             containing.append(own)
             containing.extend(seed_containers[own])
         else:
-            containing.extend(
-                _containers_among_seeds(u, u_fp, seeds, seed_fps, img)
-            )
+            containing.extend(_containers_among_seeds(u, seeds))
         if not containing:
             continue  # trivial pointwise stabilizer
         acc = None
@@ -448,18 +333,6 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
                 "fixing_elements": sorted(seeds[c][1] for c in containing)
             }
     return _finalize(n, L, out, provenance)
-
-
-_GEN_FP_CACHE: dict = {}
-
-
-def _seed_gen_fp(img, s: Subspace):
-    key = (img.L, s.key)
-    fp = _GEN_FP_CACHE.get(key)
-    if fp is None:
-        fp = _Fingerprint(img, s)
-        _GEN_FP_CACHE[key] = fp
-    return fp
 
 
 def _trace(g: MatrixF) -> CycNum:
@@ -578,17 +451,16 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     hyperplanes = sorted(
         (u for u in members.values() if u.dim == n - 1), key=lambda u: u.sort_key()
     )
-    img = _mod_image(L)
-    filters = [(h.annihilator_rows()[0], _Fingerprint(img, h)) for h in hyperplanes]
     provenance = {}
     for u in members.values():
-        u_fp = _Fingerprint(img, u)
         provenance[u.key] = {
             "hyperplanes": [
                 idx
-                for idx, (normal, h_fp) in enumerate(filters)
-                if _maybe_contained(img.p, u_fp, h_fp)
-                and all(_dot(normal, row).is_zero() for row in u.basis)
+                for idx, h in enumerate(hyperplanes)
+                if _maybe_contained(u, h)
+                and all(
+                    _dot(h.annihilator_rows()[0], row).is_zero() for row in u.basis
+                )
             ]
         }
     return _finalize(n, L, members, provenance)

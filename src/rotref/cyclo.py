@@ -275,7 +275,16 @@ class CycNum:
         return CycNum.make(self.conductor, nums, d1 * m1)
 
     def __sub__(self, other: "CycNum") -> "CycNum":
-        return self + (-other)
+        self._check(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            nums = [a - b for a, b in zip(self.num, other.num)]
+            return CycNum.make(self.conductor, nums, d1)
+        g = math.gcd(d1, d2)
+        m1 = d2 // g
+        m2 = d1 // g
+        nums = [a * m1 - b * m2 for a, b in zip(self.num, other.num)]
+        return CycNum.make(self.conductor, nums, d1 * m1)
 
     def __neg__(self) -> "CycNum":
         return CycNum(self.conductor, tuple(-v for v in self.num), self.den)
@@ -406,6 +415,127 @@ class CycNum:
 
 
 _INV_CACHE: dict[tuple, CycNum] = {}
+
+
+# ---------------------------------------------------------------------------
+# reduction modulo a prime above p = 1 (mod L)
+# ---------------------------------------------------------------------------
+#
+# A ring map Z[zeta_L] -> F_p sends every minor of an integral matrix to the
+# same minor of its image.  So a nonzero image certifies a nonzero exact
+# value, and the rank mod p is a lower bound for the exact rank: when it is
+# maximal it is the exact rank.  Rows are scaled by integers to clear their
+# denominators before reduction, so nothing is ever inverted mod p.
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n: int):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+class _ModImage:
+    """Ring homomorphism Z[zeta_L] -> F_p with p = 1 (mod L); zeta_L maps to
+    an element of exact multiplicative order L, hence to a root of Phi_L."""
+
+    __slots__ = ("p", "powers")
+
+    def __init__(self, L: int):
+        t = (1 << 41) // L + 1
+        while not _is_prime(L * t + 1):
+            t += 1
+        p = L * t + 1
+        self.p = p
+        qs = _prime_factors(L)
+        g = None
+        for h in range(2, 1000):
+            cand = pow(h, (p - 1) // L, p)
+            if all(pow(cand, L // q, p) != 1 for q in qs):
+                g = cand
+                break
+        if g is None:  # pragma: no cover
+            raise ArithmeticError("no order-L element found")
+        self.powers = [pow(g, i, p) for i in range(euler_phi(L))]
+
+    def integral(self, num) -> int:
+        """Image of the algebraic integer sum(num[i] * zeta_L^i)."""
+        acc = 0
+        for v, gp in zip(num, self.powers):
+            if v:
+                acc += v * gp
+        return acc % self.p
+
+    def row(self, row) -> tuple[int, ...]:
+        """Image of c * row, for c the lcm of the entries' denominators."""
+        c = reduce(math.lcm, (e.den for e in row), 1)
+        return tuple(self.integral(e.num) * (c // e.den) % self.p for e in row)
+
+    def rank(self, rows) -> int:
+        """Rank over F_p of integer rows, taken mod p."""
+        p = self.p
+        rows = [[a % p for a in r] for r in rows]
+        rank = 0
+        for col in range(len(rows[0]) if rows else 0):
+            sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+            if sel is None:
+                continue
+            rows[rank], rows[sel] = rows[sel], rows[rank]
+            prow = rows[rank]
+            inv = pow(prow[col], -1, p)
+            rank += 1
+            for r in range(rank, len(rows)):
+                f = rows[r][col]
+                if f:
+                    f = f * inv % p
+                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], prow)]
+            if rank == len(rows):
+                break
+        return rank
+
+
+_MOD_IMAGES: dict[int, _ModImage] = {}
+
+
+def _mod_image(L: int) -> _ModImage:
+    """The reduction map for conductor L, built on first use."""
+    img = _MOD_IMAGES.get(L)
+    if img is None:
+        img = _ModImage(L)
+        _MOD_IMAGES[L] = img  # idempotent publish
+    return img
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from fractions import Fraction
 from rotref.cyclo import (
     ConductorMismatch,
     CycNum,
+    _mod_image,
     real_imag_parts,
     zeta_power,
 )
@@ -176,10 +177,27 @@ class ElementClass:
 
 
 def fixed_space(g: MatrixF) -> Subspace:
-    """The 1-eigenspace of g, i.e. the kernel of (g - I)."""
+    """The 1-eigenspace of g, i.e. the kernel of (g - I).
+
+    When the integral matrix den * (g - I) is nonsingular mod p, so is
+    g - I: its determinant reduces to a nonzero value (cyclo._ModImage).
+    Then Fix(g) = 0 and no kernel is computed.  Otherwise the kernel is
+    computed exactly, as a singular image proves nothing."""
     fs = g._fixed
     if fs is None:
-        fs = kernel(g - MatrixF.identity(g.rows, g.conductor))
+        n, den = g.rows, g.den
+        img = _mod_image(g.conductor)
+        rows = [
+            [
+                img.integral(g.nums[i * n + j]) - (den if i == j else 0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        if img.rank(rows) == n:
+            fs = Subspace.zero_space(n, g.conductor)
+        else:
+            fs = kernel(g - MatrixF.identity(n, g.conductor))
         g._fixed = fs
     return fs
 
@@ -746,4 +764,10 @@ def group_from_json(d: dict) -> MatrixGroup:
         raise ValueError(f"JSON group lacks the key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"JSON group has a value of the wrong type: {exc}") from None
+    if n < 1:
+        raise ValueError(f"JSON group ambient must be a positive integer, not {n}")
+    if any(m.rows != n or m.cols != n for m in gens):
+        raise ValueError(
+            f"JSON group declares ambient {n}, but a generator is not {n}x{n}"
+        )
     return MatrixGroup(gens, ambient_dim=n, conductor=L, name=name)

@@ -21,6 +21,7 @@ from rotref.cyclo import (
     CycNum,
     cyc_from_json,
     cyc_to_json,
+    _mod_image,
     _tables,
 )
 
@@ -285,7 +286,10 @@ class Subspace:
     subspaces are equal as sets iff their canonical fields coincide.
     """
 
-    __slots__ = ("ambient_dim", "conductor", "basis", "pivot_cols", "_key", "_ann")
+    __slots__ = (
+        "ambient_dim", "conductor", "basis", "pivot_cols",
+        "_key", "_ann", "_mod_basis", "_mod_ann",
+    )
 
     def __init__(self, ambient_dim, conductor, basis, pivot_cols):
         self.ambient_dim = ambient_dim
@@ -294,6 +298,8 @@ class Subspace:
         self.pivot_cols = pivot_cols
         self._key = None
         self._ann = None
+        self._mod_basis = None
+        self._mod_ann = None
 
     @staticmethod
     def from_rows(ambient_dim: int, rows, conductor: int | None = None) -> "Subspace":
@@ -370,6 +376,25 @@ class Subspace:
             self._ann = ann
         return ann
 
+    def mod_basis_rows(self) -> tuple:
+        """The basis rows, each cleared of denominators and reduced mod p
+        (cyclo._ModImage.row)."""
+        rows = self._mod_basis
+        if rows is None:
+            img = _mod_image(self.conductor)
+            rows = tuple(img.row(r) for r in self.basis)
+            self._mod_basis = rows
+        return rows
+
+    def mod_annihilator_rows(self) -> tuple:
+        """The annihilator rows, reduced mod p like mod_basis_rows."""
+        rows = self._mod_ann
+        if rows is None:
+            img = _mod_image(self.conductor)
+            rows = tuple(img.row(r) for r in self.annihilator_rows())
+            self._mod_ann = rows
+        return rows
+
     def reduce_vector(self, vec):
         """Remainder of vec after elimination against this RREF basis."""
         vec = list(vec)
@@ -426,12 +451,20 @@ def _check_ambient(u: Subspace, v: Subspace):
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u meet v.  When dim u + dim v <= n and the stacked bases have full
+    rank mod p, that is their exact rank (see _rank), so the meet is 0 and
+    no annihilator or kernel is built."""
     _check_ambient(u, v)
     if u.is_full():
         return v
     if v.is_full():
         return u
-    if u.is_zero() or v.is_zero():
+    d = u.dim + v.dim
+    img = _mod_image(u.conductor)
+    if u.is_zero() or v.is_zero() or (
+        d <= u.ambient_dim
+        and img.rank(u.mod_basis_rows() + v.mod_basis_rows()) == d
+    ):
         return Subspace.zero_space(u.ambient_dim, u.conductor)
     stacked = list(u.annihilator_rows()) + list(v.annihilator_rows())
     vecs = _kernel_of_rows([list(r) for r in stacked], u.ambient_dim, u.conductor)
@@ -458,11 +491,24 @@ def subspace_contains(u: Subspace, v: Subspace) -> bool:
     return all(u.contains_vector(row) for row in v.basis)
 
 
-def _rank(rows) -> int:
-    """Rank of a list of CycNum rows by fraction-free elimination,
-    row_r <- p * row_r - f * row_pivot: no inverse, no canonical form, and
-    only zero tests on the entries."""
+def _rank(rows, mod_rows=None) -> int:
+    """Rank of a list of CycNum rows.
+
+    First the rank mod p is taken, of the rows cleared of denominators
+    (mod_rows, when the caller has them; cyclo._ModImage.row otherwise).
+    Each minor of the image is the image of the same minor, so the rank mod
+    p is at most the exact rank, and when it equals min(rows, cols) it is
+    the exact rank.  Otherwise the rank comes from fraction-free
+    elimination, row_r <- p * row_r - f * row_pivot: no inverse, no
+    canonical form, and only zero tests on the entries."""
     rows = [list(r) for r in rows]
+    if rows and rows[0]:
+        img = _mod_image(rows[0][0].conductor)
+        if mod_rows is None:
+            mod_rows = [img.row(r) for r in rows]
+        rank = img.rank(mod_rows)
+        if rank == min(len(rows), len(rows[0])):
+            return rank
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         sel = next(
@@ -491,7 +537,9 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
     """dim(u meet v) = dim u + dim v - dim(u + v), with the rank of the
     stacked bases found by _rank; no basis of the meet is built."""
     _check_ambient(u, v)
-    return u.dim + v.dim - _rank(list(u.basis) + list(v.basis))
+    return u.dim + v.dim - _rank(
+        list(u.basis) + list(v.basis), u.mod_basis_rows() + v.mod_basis_rows()
+    )
 
 
 def meets_nontrivially(u: Subspace, v: Subspace) -> bool:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from rotref.cyclo import (
     real_sign,
     zeta_power,
 )
-from rotref.cyclo import _poly_mul_int
+from rotref.cyclo import _mod_image, _poly_mul_int
 
 
 # -- cyclotomic polynomials -------------------------------------------------
@@ -269,6 +273,38 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
     if not a.is_zero():
         assert a * a.inv() == CycNum.one(20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyc_strategy(20), _cyc_strategy(20))
+def test_subtraction_adds_the_negation(a, b):
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+
+
+@pytest.mark.parametrize("L", [1, 4, 12, 20, 44])
+def test_mod_image_is_a_ring_map(L):
+    rng = random.Random(L)
+    img = _mod_image(L)
+    p = img.p
+    assert (p - 1) % L == 0
+    for _ in range(20):
+        a, b = (
+            CycNum.make(L, [rng.randint(-6, 6) for _ in range(euler_phi(L))])
+            for _ in range(2)
+        )
+        ia, ib = img.integral(a.num), img.integral(b.num)
+        assert img.integral((a + b).num) == (ia + ib) % p
+        assert img.integral((a * b).num) == ia * ib % p
+
+
+def test_no_mod_image_is_built_at_import():
+    code = (
+        "import rotref.cli, rotref.cyclo as c; "
+        "assert not c._MOD_IMAGES, sorted(c._MOD_IMAGES)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @settings(max_examples=60, deadline=None)

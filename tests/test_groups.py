@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rotref.cyclo import ConductorMismatch, CycNum, zeta_power
-from rotref.linalg import MatrixF, Subspace
+from rotref.cyclo import ConductorMismatch, CycNum, _mod_image, zeta_power
+from rotref.linalg import MatrixF, Subspace, kernel
 from rotref.groups import (
     BIG_FACTOR_LABELS,
     CatalogEntry,
@@ -189,6 +189,32 @@ def test_fixed_space_of_swap_is_diagonal_plane():
         ],
     )
     assert fs == expected
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["G(3,1,2)", "G(4,1,2)", "G(5,1,2)", "G(6,1,2)", "A3xA1", "B3xA1", "I2(5)xI2(8)"],
+)
+def test_fixed_space_matches_exact_kernel(group):
+    # the mod-p certificate for Fix(g) = 0 against the kernel of g - I
+    if group.startswith("G("):
+        grp = realified_gmpn_group(int(group[2]))
+    else:
+        grp = catalog_group(group)
+    for e in grp.elements:
+        g = MatrixF(e.rows, e.cols, e.conductor, e.den, e.nums)  # nothing cached
+        exact = kernel(g - MatrixF.identity(g.rows, g.conductor))
+        assert fixed_space(g).key == exact.key
+
+
+def test_fixed_space_certificate_is_one_sided():
+    p = _mod_image(4).p
+    # g - I = diag(p, 1) is singular mod p, but Fix(g) = 0
+    assert fixed_space(rat_mat(4, [[1 + p, 0], [0, 2]])).is_zero()
+    # p divides the denominator; den * (g - I) = diag(1 - p, p) mod p
+    assert fixed_space(rat_mat(4, [[Fraction(1, p), 0], [0, 2]])).is_zero()
+    # a nonzero Fix is still found exactly
+    assert fixed_space(rat_mat(4, [[1, 0], [0, 1 + p]])).dim == 1
 
 
 def test_no_reflections_in_realified_wreath():

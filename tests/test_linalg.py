@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotref.cyclo import ConductorMismatch, CycNum, real_imag_parts, zeta_power
+from rotref.cyclo import (
+    ConductorMismatch,
+    CycNum,
+    _mod_image,
+    real_imag_parts,
+    zeta_power,
+)
 from rotref.linalg import (
     MatrixF,
     Subspace,
@@ -280,6 +286,45 @@ def test_fraction_free_rank_matches_rref():
             for _ in range(k)
         ]
         assert _rank(rows) == Subspace.from_rows(n, rows, 12).dim
+
+
+# stacks with zero rows and repeated rows, so that the exact rank drops
+_stacks12 = st.tuples(
+    _rows12, st.integers(0, 2), st.lists(st.integers(0, 3), max_size=3)
+).map(
+    lambda t: t[0]
+    + [[rat(12, 0)] * 4] * t[1]
+    + [t[0][i] for i in t[2] if i < len(t[0])]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks12)
+def test_maximal_mod_p_rank_is_exact(rows):
+    img = _mod_image(12)
+    exact = Subspace.from_rows(4, rows, 12).dim
+    mod = img.rank([img.row(r) for r in rows])
+    assert mod <= exact
+    if mod == min(len(rows), 4):
+        assert mod == exact
+    assert _rank(rows) == exact
+
+
+def test_meet_certificate_is_one_sided():
+    # the stacked bases (1, 0), (1, p) are dependent mod p only
+    p = _mod_image(4).p
+    u = Subspace.from_rows(2, [[rat(4, 1), rat(4, 0)]])
+    v = Subspace.from_rows(2, [[rat(4, 1), rat(4, p)]])
+    assert subspace_intersect(u, v).is_zero()
+    assert intersection_dim(u, v) == 0
+    assert not meets_nontrivially(u, v)
+    # a rank short of full proves nothing: the meet is built exactly
+    assert subspace_intersect(u, u) == u
+    # p in a denominator: (1, 1/p) is cleared to (p, 1) = (0, 1) mod p
+    w = Subspace.from_rows(2, [[rat(4, 1), rat(4, Fraction(1, p))]])
+    x = Subspace.from_rows(2, [[rat(4, 0), rat(4, 1)]])
+    assert subspace_intersect(w, x).is_zero()
+    assert intersection_dim(w, x) == 0
 
 
 def test_ambient_mismatch_rejected():

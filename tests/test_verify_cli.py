@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rotref import verify
+from rotref import groups, verify
 from rotref.cli import main
 from rotref.verify import (
     verify_dichotomy,
@@ -46,6 +46,27 @@ def test_rotation_reports():
 def test_rotation_rejects_m1():
     with pytest.raises(ValueError):
         verify_rotation_group(1)
+
+
+@pytest.mark.parametrize("m", [5, 11, 12])
+def test_wreath_checks_compute_few_kernels(monkeypatch, m):
+    # of the 2m^2 elements of G(m,1,2), only the 3m - 1 with eigenvalue 1
+    # (the identity included) fix more than the origin; a full rank of
+    # g - I mod p settles all the others with no kernel
+    kernel = groups.kernel
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return kernel(mat)
+
+    monkeypatch.setattr(groups, "kernel", counting)
+    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
+    assert verify_lemma_AG(m).passed
+    assert len(calls) <= 3 * m - 1
+    calls.clear()
+    assert verify_rotation_group(m).passed
+    assert len(calls) <= 3 * m - 1
 
 
 def test_lemma_plane_odd_m_passes():
@@ -188,6 +209,8 @@ def _zero_denominator(d):
         _zero_denominator,
         lambda d: dict(d, generators=[5]),
         lambda d: dict(d, generators=[{"rows": 2, "cols": 2}]),
+        lambda d: dict(d, ambient=3),
+        lambda d: dict(d, ambient=-1, generators=[]),
     ],
     ids=[
         "no-generators",
@@ -196,6 +219,8 @@ def _zero_denominator(d):
         "zero-denominator",
         "generator-not-an-object",
         "generator-without-entries",
+        "ambient-mismatch",
+        "ambient-negative",
     ],
 )
 def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
