@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from rotref.cyclo import (
@@ -102,12 +102,21 @@ def _maybe_contained(small: Subspace, big: Subspace) -> bool:
 @dataclass(frozen=True)
 class Arrangement:
     """A finite set of proper subspaces in canonical order (dimension, then
-    canonical basis), with a per-member provenance witness."""
+    canonical basis), with a per-member provenance witness.
+
+    `_provenance` is the witness tuple, or a function of no arguments that
+    builds it; the function runs the first time `provenance` is read."""
 
     ambient_dim: int
     conductor: int
     subspaces: tuple
-    provenance: tuple
+    _provenance: object = field(repr=False, compare=False)
+
+    @property
+    def provenance(self) -> tuple:
+        if callable(self._provenance):
+            object.__setattr__(self, "_provenance", self._provenance())
+        return self._provenance
 
     @property
     def size(self) -> int:
@@ -132,7 +141,7 @@ class Arrangement:
             self.ambient_dim,
             L2,
             tuple(s.embed(L2) for s in self.subspaces),
-            self.provenance,
+            lambda: self.provenance,
         )
 
 
@@ -403,41 +412,57 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     is not detected, and its flats are returned: the route assumes a
     finite group, as the closure-free search cannot count its elements.
 
+    Moves that only repeat earlier ones are skipped.  I - s = v_s f_s^T for
+    the normal f_s of H_s (see _reflection_vector), so s^2 = I -
+    (2 - f_s . v_s) v_s f_s^T, and s is an involution exactly when f_s . v_s
+    = 2.  Then w = s.u gives s.w = u, and w meet H_s = u meet H_s, as s
+    fixes H_s pointwise: both moves from (w, s) repeat those from (u, s),
+    so the pair (w, s) is marked done when w is made.  A reflection of
+    order > 2 is never marked (s.w = s^2.u differs from u).  A skipped move
+    reaches only known members, so the members, their order of discovery
+    and the cap behaviour are those of the full search.
+
     The provenance of a member lists the positions, in the canonical order
     of the arrangement's hyperplanes (its members of dimension n - 1), of
-    every hyperplane containing it.  A one-sided mod-p filter rules out
-    most pairs; each pass is confirmed exactly, with normal . row = 0 for
-    every basis row of the member."""
+    every hyperplane containing it.  It depends on the members alone, and
+    is built the first time `provenance` is read (_hyperplane_provenance)."""
     refl = generating_reflections(w)
     if refl is None:
         raise ValueError("group is not generated by its reflections")
     _reject_infinite_pairs(refl)
     n, L = w.ambient_dim, w.conductor
+    two = CycNum.rational(L, 2)
     mirrors = []
     for s in refl:
         h = fixed_space(s)
         normal = h.annihilator_rows()[0]
-        mirrors.append((h, normal, _reflection_vector(s, normal)))
-    members = {}
+        v = _reflection_vector(s, normal)
+        mirrors.append((h, normal, v, _dot(normal, v) == two))
+    position = {}
     queue = []
+    done = []  # bit i of done[j]: the moves from (queue[j], s_i) repeat others
 
     def visit(v):
-        if v.key not in members:
-            if len(members) >= DEFAULT_CLOSURE_CAP:
+        j = position.get(v.key)
+        if j is None:
+            if len(queue) >= DEFAULT_CLOSURE_CAP:
                 raise ClosureCapExceeded(
                     f"more than {DEFAULT_CLOSURE_CAP} flats: group too large "
                     "or not finite"
                 )
-            members[v.key] = v
+            j = position[v.key] = len(queue)
             queue.append(v)
+            done.append(0)
+        return j
 
-    for h, _, _ in mirrors:
+    for h, _, _, _ in mirrors:
         visit(h)
     qi = 0
     while qi < len(queue):
         u = queue[qi]
-        qi += 1
-        for _, normal, v in mirrors:
+        for i, (_, normal, v, involution) in enumerate(mirrors):
+            if done[qi] >> i & 1:
+                continue
             ts = [_dot(normal, row) for row in u.basis]
             if all(t.is_zero() for t in ts):
                 continue  # u lies in H_s, so s.u = u = u meet H_s
@@ -445,15 +470,25 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
                 row if t.is_zero() else [a - t * b for a, b in zip(row, v)]
                 for row, t in zip(u.basis, ts)
             ]
-            visit(Subspace.from_rows(n, rows, L))
+            j = visit(Subspace.from_rows(n, rows, L))
+            if involution:
+                done[j] |= 1 << i
             visit(_meet_hyperplane(u, ts))
+        qi += 1
 
-    hyperplanes = sorted(
-        (u for u in members.values() if u.dim == n - 1), key=lambda u: u.sort_key()
-    )
-    provenance = {}
-    for u in members.values():
-        provenance[u.key] = {
+    order = tuple(sorted(queue, key=lambda u: u.sort_key()))
+    return Arrangement(n, L, order, lambda: _hyperplane_provenance(n, order))
+
+
+def _hyperplane_provenance(n: int, members) -> tuple:
+    """For each of the canonically ordered `members` of a reflection
+    arrangement in dimension n, the positions among its hyperplanes of
+    every hyperplane containing it.  A one-sided mod-p filter rules out
+    most pairs; each pass is confirmed exactly, with normal . row = 0 for
+    every basis row of the member."""
+    hyperplanes = [u for u in members if u.dim == n - 1]
+    return tuple(
+        {
             "hyperplanes": [
                 idx
                 for idx, h in enumerate(hyperplanes)
@@ -463,7 +498,8 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
                 )
             ]
         }
-    return _finalize(n, L, members, provenance)
+        for u in members
+    )
 
 
 def arrangement_contains(big: Arrangement, small: Arrangement):

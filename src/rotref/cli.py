@@ -175,6 +175,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
 
     if cmd == "lemma-ag":
         rep = verify_lemma_AG(args.m)

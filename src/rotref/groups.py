@@ -357,7 +357,14 @@ def realify(m: MatrixF) -> MatrixF:
 
 
 def realified_gmpn_group(m: int, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
-    """The rotation group of interest: G(m,1,2) realified into O_4."""
+    """The rotation group of interest: G(m,1,2) realified into O_4.  Its
+    order 2m^2 is known, so a group larger than `cap` is rejected before
+    any closure."""
+    order = gmpn_order(m, 1, 2)
+    if m >= 1 and order > cap:
+        raise ClosureCapExceeded(
+            f"G({m},1,2) has order {order}, above the closure cap {cap}"
+        )
     gens = [realify(g) for g in gmpn_generators(m, 1, 2)]
     grp = MatrixGroup(gens, name=f"G({m},1,2)r")
     grp.ensure_elements(cap)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -15,6 +16,8 @@ from rotref.groups import (
     closure,
     direct_sum,
     fixed_space,
+    gmpn_generators,
+    group_from_json,
     group_to_json,
     realified_gmpn_group,
 )
@@ -191,6 +194,62 @@ def test_reflection_provenance_hyperplanes():
             ]
 
 
+@pytest.mark.parametrize("m, n", [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3)])
+def test_reflection_route_on_complex_reflections(m, n):
+    # diag(zeta_m, 1) has order m: the search may skip the repeated moves of
+    # involutions only, as s.(s.u) = s^2.u is a new flat for m > 2
+    g = MatrixGroup(gmpn_generators(m, 1, n), name=f"G({m},1,{n})")
+    assert reflection_arrangement(g).key_set() == isotropy_arrangement(g).key_set()
+
+
+B2_NAME = "B2 from a flip and a quarter turn"
+
+
+def _b2_from_flip_and_quarter_turn():
+    one, zero = CycNum.one(4), CycNum.zero(4)
+    flip = MatrixF.from_rows([[one, zero], [zero, -one]])
+    quarter_turn = MatrixF.from_rows([[zero, -one], [one, zero]])
+    return MatrixGroup([flip, quarter_turn], name=B2_NAME)
+
+
+# SHA-256 of `rotref arrangement compute REF --method reflection --json`,
+# recorded when the provenance was still built inside the search
+REFLECTION_JSON_SHA256 = {
+    "B3": "ce50342e5013684bee481cb76f9e85b9bae1dec088f6b7f88b94435f67d97110",
+    "F4": "c58ceeaaf5e6e4afe023d2457925ec4421c8f53e42929260d366f2968b308f4c",
+    "H3": "cf02cb352aab4b03124cc204b0a4f4c95d4b52657c2708b1a42f6ab130a6ec4d",
+    "A3xA1": "fa9851c850090123e2e9df575f37dfa6ee255b7eadddc8b96789176a16728c5c",
+    B2_NAME: "090b956388330f6756f2448bce1f79e748e5fa2c90b8b3889561cf7bd56af171",
+}
+
+
+@pytest.mark.parametrize("ref", sorted(REFLECTION_JSON_SHA256))
+def test_reflection_arrangement_json_bytes(ref, tmp_path):
+    target = ref
+    if ref == B2_NAME:
+        target = tmp_path / "group.json"
+        target.write_text(json.dumps(group_to_json(_b2_from_flip_and_quarter_turn())))
+    out = tmp_path / "arrangement.json"
+    args = ["arrangement", "compute", str(target), "--method", "reflection"]
+    assert main(args + ["--json", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REFLECTION_JSON_SHA256[ref]
+
+
+def test_reflection_provenance_built_on_read():
+    # a group read back from JSON has fresh generators, so no cached fixed
+    # space carries mod-p rows from an earlier arrangement
+    g = group_from_json(group_to_json(catalog_group("B3")))
+    arr = reflection_arrangement(g)
+    embedded = arr.embed(4 * arr.conductor)
+    assert all(s._mod_ann is None for s in arr.subspaces)
+    assert callable(arr._provenance) and callable(embedded._provenance)
+    prov = arr.provenance
+    assert len(prov) == arr.size and not callable(arr._provenance)
+    assert any(s._mod_ann is not None for s in arr.subspaces)
+    assert embedded.provenance is prov
+
+
 @pytest.mark.parametrize("label", BIG_FACTOR_LABELS)
 def test_reflection_vector_gives_the_reflection(label):
     # the flat search applies s as x -> x - (f_s . x) v_s
@@ -214,12 +273,9 @@ def test_reflection_arrangement_computes_no_closure():
 
 
 def test_reflection_arrangement_from_non_reflection_generators():
-    one, zero = CycNum.one(4), CycNum.zero(4)
-    flip = MatrixF.from_rows([[one, zero], [zero, -one]])
-    quarter_turn = MatrixF.from_rows([[zero, -one], [one, zero]])
     b2 = catalog_group("B2")
     expected = reflection_arrangement(b2).key_set()
-    assert reflection_arrangement(MatrixGroup([flip, quarter_turn])).key_set() == expected
+    assert reflection_arrangement(_b2_from_flip_and_quarter_turn()).key_set() == expected
     with_identity = MatrixGroup(b2.generators + (MatrixF.identity(2, 4),))
     assert reflection_arrangement(with_identity).key_set() == expected
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,6 +243,25 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lemma-ag"])  # missing required --m
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_rejects_jobs_below_one(jobs, capsys):
+    assert main(["lemma-ag", "--m", "3", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["lemma-ag", "--m", "1000"], ["rotation", "--m", "101"]])
+def test_cli_rejects_wreath_group_above_cap_at_once(args):
+    # 2m^2 exceeds the closure cap, which is known before any closure
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotref.cli", *args],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_cli_survey_out_of_range(capsys):
