@@ -57,8 +57,6 @@ __all__ = [
     "Arrangement",
     "PhaseValue",
     "PlanePreconditionError",
-    "fixed_space_of_subset",
-    "pointwise_stabilizer",
     "isotropy_arrangement",
     "reflection_arrangement",
     "arrangement_contains",
@@ -203,43 +201,19 @@ def _reflection_vector(s: MatrixF, normal):
     return tuple(c * scale for c in col)
 
 
-def fixed_space_of_subset(group: MatrixGroup, indices) -> Subspace:
-    """Joint fixed space of the chosen elements (empty set gives V)."""
-    elems = group.elements
-    acc = Subspace.full(group.ambient_dim, group.conductor)
-    for i in indices:
-        acc = subspace_intersect(acc, fixed_space(elems[i]))
-        if acc.is_zero():
-            break
-    return acc
-
-
-def pointwise_stabilizer(group: MatrixGroup, u: Subspace):
-    """Indices of all elements fixing u pointwise; always a subgroup."""
-    if u.conductor != group.conductor:
-        if group.conductor % u.conductor != 0:
-            raise ConductorMismatch(
-                "subspace conductor must divide the group conductor"
-            )
-        u = u.embed(group.conductor)
-    out = []
-    for i, g in enumerate(group.elements):
-        if all(g.apply(row) == row for row in u.basis):
-            out.append(i)
-    return out
-
-
 def _seed_fixed_spaces(group: MatrixGroup):
     """Distinct element fixed spaces (identity excluded), with the smallest
-    fixing element index per seed, in first-discovery order."""
+    fixing element index per seed, in first-discovery order.  An element
+    whose fixed space is 0 by its residues (MatrixGroup.fixed_dims) gives
+    the zero seed, with neither its exact matrix nor a kernel built."""
+    n, L = group.ambient_dim, group.conductor
     seeds = []
     by_key = {}
-    for i, g in enumerate(group.elements):
+    elems = group.elements
+    for i, d in enumerate(group.fixed_dims()):
         if i == 0:
             continue
-        fs = fixed_space(g)
-        if fs.dim == group.ambient_dim:
-            continue  # non-faithful action; identity-acting element
+        fs = fixed_space(elems[i]) if d else Subspace.zero_space(n, L)
         if fs.key not in by_key:
             by_key[fs.key] = len(seeds)
             seeds.append((fs, i))

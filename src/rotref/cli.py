@@ -23,7 +23,6 @@ from rotref.groups import (
     ClosureCapExceeded,
     IRREDUCIBLE_LABELS,
     catalog_group,
-    classify,
     enumerate_degree4_catalog,
     generated_by_reflections,
     group_from_json,
@@ -251,11 +250,9 @@ def _dispatch(args) -> int:
 
     if cmd == "group":
         grp = _group_from_ref(args.ref)
-        grp.ensure_elements()
         hist: dict[str, int] = {}
-        for g in grp.elements:
-            tag = classify(g).tag
-            hist[tag] = hist.get(tag, 0) + 1
+        for c in grp.element_classes():
+            hist[c.tag] = hist.get(c.tag, 0) + 1
         print(f"name: {grp.name}")
         print(f"ambient dimension: {grp.ambient_dim}, conductor: {grp.conductor}")
         print(f"order: {grp.order}, generators: {len(grp.generators)}")

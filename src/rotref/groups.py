@@ -9,16 +9,23 @@ is exact: rational families use conductor 4, the pentagonal families use
 conductor 20 (where sqrt(5) = z5 - z5^2 - z5^3 + z5^4), and dihedral-plane
 families I2(k) use lcm(4, k).
 
-Closure may be parallelized over the expansion frontier without changing the
-result: the element order is fixed by the BFS discipline, not by timing.
+The enumeration runs on the images of the elements mod a prime p = 1 (mod
+L), and an element's exact matrix is built only when it is read.  Reduction
+mod p is injective on a finite group with p-integral entries (Minkowski
+1887; Serre, "Bounds for the orders of the finite subgroups of G(k)",
+2007), and the projector argument reads dim Fix(g) off the rank of g - I
+mod p.  The README's design note "Closing groups mod p" has the proofs and
+the exact checks that back them (_Elements).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from rotref.cyclo import (
     ConductorMismatch,
@@ -76,11 +83,15 @@ class ClosureCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class MatrixGroup:
-    """A finite matrix group: generators plus the (lazily enumerated) full
-    element set in deterministic BFS order."""
+    """A finite matrix group: generators, plus the full element list in
+    deterministic BFS order, enumerated modulo p on first use (_Elements).
+
+    `order` is the group order when theory gives it; the enumeration must
+    then reach exactly that many elements.  Without it the enumeration is
+    confirmed exactly (_Elements)."""
 
     def __init__(self, generators, ambient_dim=None, conductor=None, name=None,
-                 elements=None):
+                 order=None):
         generators = tuple(generators)
         if generators:
             ambient_dim = generators[0].rows
@@ -96,14 +107,14 @@ class MatrixGroup:
         self.ambient_dim = ambient_dim
         self.conductor = conductor
         self.name = name
-        self._elements = elements
-        self._keys = None if elements is None else {g.key for g in elements}
+        self.known_order = order
+        self._elements = None
 
     def ensure_elements(self, cap: int = DEFAULT_CLOSURE_CAP):
+        """The elements as a sequence of exact matrices in BFS order; each
+        matrix is built the first time it is read."""
         if self._elements is None:
-            elems = _bfs_closure(self.generators, self.ambient_dim, self.conductor, cap)
-            self._elements = elems
-            self._keys = {g.key for g in elems}
+            self._elements = _Elements(self, cap)
         return self._elements
 
     @property
@@ -115,8 +126,16 @@ class MatrixGroup:
         return len(self.elements)
 
     def element_keys(self):
-        self.ensure_elements()
-        return self._keys
+        return {g.key for g in self.elements}
+
+    def fixed_dims(self) -> tuple:
+        """dim Fix(g) for every element g, in element order, from residues."""
+        return self.elements.fixed_dims()
+
+    def element_classes(self) -> tuple:
+        """The ElementClass of every element, in element order."""
+        n = self.ambient_dim
+        return tuple(ElementClass.of_codim(n - d) for d in self.fixed_dims())
 
     def __contains__(self, m: MatrixF) -> bool:
         return m.key in self.element_keys()
@@ -127,28 +146,159 @@ class MatrixGroup:
         return f"MatrixGroup({self.name!r}, dim={self.ambient_dim}, L={self.conductor}{size})"
 
 
-def _bfs_closure(generators, n, L, cap):
-    ident = MatrixF.identity(n, L)
-    elems = [ident]
-    seen = {ident.key}
+def _residues(g: MatrixF, p: int, img) -> tuple:
+    """The image mod p of g, row by row: entry num/den maps to
+    img(num) * den^-1.  A den divisible by p has no image."""
+    if g.den % p == 0:
+        raise ValueError(
+            f"a generator denominator is divisible by the prime {p} used to "
+            f"close groups at conductor {g.conductor}"
+        )
+    inv = pow(g.den, -1, p)
+    return tuple(img.integral(v) * inv % p for v in g.nums)
+
+
+def _columns(r: tuple, n: int) -> tuple:
+    return tuple(r[j::n] for j in range(n))
+
+
+def _times(a: tuple, cols: tuple, n: int, p: int) -> tuple:
+    """a @ b mod p, for b given by its columns."""
+    return tuple(
+        sum(map(mul, a[i : i + n], c)) % p for i in range(0, n * n, n) for c in cols
+    )
+
+
+def _residue_bfs(generators, n: int, p: int, cap: int):
+    """Breadth-first closure mod p of residue matrices from the identity,
+    generators applied in order to each element.  Returns the residues in
+    discovery order, their positions, and for each element but the
+    identity its (parent position, generator position)."""
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    cols = [_columns(g, n) for g in generators]
+    found = [ident]
+    position = {ident: 0}
+    parents = [None]
     queue = 0
-    while queue < len(elems):
-        cur = elems[queue]
-        queue += 1
-        for g in generators:
-            p = cur @ g
-            if p.key not in seen:
-                if len(elems) >= cap:
+    while queue < len(found):
+        cur = found[queue]
+        for s, c in enumerate(cols):
+            r = _times(cur, c, n, p)
+            if r not in position:
+                if len(found) >= cap:
                     raise ClosureCapExceeded(
                         f"closure exceeded cap {cap}: group too large or not finite"
                     )
-                seen.add(p.key)
-                elems.append(p)
-    return tuple(elems)
+                position[r] = len(found)
+                found.append(r)
+                parents.append((queue, s))
+        queue += 1
+    return found, position, parents
+
+
+class _Elements(Sequence):
+    """The elements of a group, found by one breadth-first search over their
+    images mod p and built exactly only when read.
+
+    Reduction mod p (cyclo._ModImage, p = 1 mod L) is injective on every
+    finite group with p-integral entries (Minkowski 1887; Serre 2007; see
+    the README's design note), so the search meets the same elements in the
+    same order as an exact one would.  That is never taken on trust:
+
+    * with an order from theory (group.known_order), the search must reach
+      exactly that many elements, or ArithmeticError is raised;
+    * without one, every Schreier relation t_i s = t_j, for element t_i,
+      generator s and t_j the element with the image of t_i s, is checked
+      exactly.  Then the t_i are closed under the generators, so they are
+      the whole group, and their images are distinct.  A relation that
+      fails shows two distinct elements with one image; reduction is not
+      injective, so the group is infinite and ClosureCapExceeded is raised.
+
+    Element i is its parent times one generator, (parent, generator) =
+    parents[i], and its exact matrix costs that one product."""
+
+    def __init__(self, group: MatrixGroup, cap: int):
+        n, L = group.ambient_dim, group.conductor
+        self.img = _mod_image(L)
+        self.p = self.img.p
+        self.n = n
+        self.generators = group.generators
+        self._gen_residues = [_residues(g, self.p, self.img) for g in self.generators]
+        self.residues, self.position, self.parents = _residue_bfs(
+            self._gen_residues, n, self.p, cap
+        )
+        self._exact = [None] * len(self.residues)
+        self._exact[0] = MatrixF.identity(n, L)
+        self._dims = None
+        if group.known_order is None:
+            self._confirm()
+        elif len(self.residues) != group.known_order:
+            raise ArithmeticError(
+                f"closure mod p found {len(self.residues)} elements, but the "
+                f"group has order {group.known_order}"
+            )
+
+    def _confirm(self):
+        n, p = self.n, self.p
+        cols = [_columns(g, n) for g in self._gen_residues]
+        for i, r in enumerate(self.residues):
+            for s, c in enumerate(cols):
+                j = self.position[_times(r, c, n, p)]
+                if self.parents[j] == (i, s):
+                    continue  # element j is built as this very product
+                if self[i] @ self.generators[s] != self[j]:
+                    raise ClosureCapExceeded(
+                        "group not finite: two distinct elements have one "
+                        f"image mod {p}"
+                    )
+
+    def __len__(self) -> int:
+        return len(self.residues)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        exact = self._exact
+        if i < 0:
+            i += len(exact)
+        g = exact[i]
+        if g is None:
+            path = []
+            while exact[i] is None:
+                path.append(i)
+                i = self.parents[i][0]
+            g = exact[i]
+            for k in reversed(path):
+                g = g @ self.generators[self.parents[k][1]]
+                exact[k] = g
+        return g
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def fixed_dims(self) -> tuple:
+        """dim Fix(g) = n - rank(g - I mod p) for every element g.
+
+        Let k be the order of g and P = (1/k)(I + g + ... + g^(k-1)).  P is
+        the projector onto Fix(g), so dim Fix(g) = rank P = tr P.  As k
+        divides |G|, and |G| <= cap < p, P is p-integral, and its image P' is
+        the projector onto ker(g - I mod p): g P' = P', and P' v = v when g
+        fixes v mod p.  So dim ker(g - I mod p) = rank P' = tr P' = tr P
+        mod p, and both dimensions lie in [0, n] with n < p."""
+        if self._dims is None:
+            n, rank = self.n, self.img.rank
+            self._dims = tuple(
+                n - rank([
+                    [r[i * n + j] - (i == j) for j in range(n)] for i in range(n)
+                ])
+                for r in self.residues
+            )
+        return self._dims
 
 
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP, name=None) -> MatrixGroup:
-    """Breadth-first closure of a generator list into a full MatrixGroup."""
+    """Breadth-first closure of a generator list into a full MatrixGroup,
+    confirmed exactly (its order is not known in advance)."""
     grp = MatrixGroup(generators, name=name)
     grp.ensure_elements(cap)
     return grp
@@ -174,6 +324,11 @@ def element_order(g: MatrixF) -> int:
 class ElementClass:
     tag: str  # identity | reflection | rotation | bireflection_plus
     fix_codim: int
+
+    @staticmethod
+    def of_codim(codim: int) -> "ElementClass":
+        tags = ("identity", "reflection", "rotation")
+        return ElementClass(tags[codim] if codim < 3 else "bireflection_plus", codim)
 
 
 def fixed_space(g: MatrixF) -> Subspace:
@@ -203,37 +358,32 @@ def fixed_space(g: MatrixF) -> Subspace:
 
 
 def classify(g: MatrixF) -> ElementClass:
-    codim = g.rows - fixed_space(g).dim
-    if codim == 0:
-        tag = "identity"
-    elif codim == 1:
-        tag = "reflection"
-    elif codim == 2:
-        tag = "rotation"
-    else:
-        tag = "bireflection_plus"
-    return ElementClass(tag, codim)
+    return ElementClass.of_codim(g.rows - fixed_space(g).dim)
 
 
 def _greedy_generated(group: MatrixGroup, candidate_indices):
     """Greedily pick generators from candidate elements until their closure
-    stops growing; returns (covers_group, chosen_indices, span_keys)."""
+    stops growing; returns (covers_group, chosen_indices, span), with span
+    the residues of the chosen elements' closure.  Reduction mod p is
+    injective on the group, so the closures mod p are the exact ones."""
     elems = group.elements
+    residues, order = elems.residues, len(elems)
     chosen = []
-    span = {MatrixF.identity(group.ambient_dim, group.conductor).key}
+    span = {residues[0]}
     for idx in candidate_indices:
-        g = elems[idx]
-        if g.key in span:
+        if residues[idx] in span:
             continue
         chosen.append(idx)
-        sub = _bfs_closure(
-            [elems[i] for i in chosen], group.ambient_dim, group.conductor,
-            cap=group.order + 1,
-        )
-        span = {m.key for m in sub}
-        if len(span) == group.order:
+        span = _residue_bfs(
+            [residues[i] for i in chosen], group.ambient_dim, elems.p, order
+        )[1]
+        if len(span) == order:
             break
-    return len(span) == group.order, chosen, span
+    return len(span) == order, chosen, span
+
+
+def _indices_of(group: MatrixGroup, tag: str) -> list:
+    return [i for i, c in enumerate(group.element_classes()) if c.tag == tag]
 
 
 def is_rotation_group(group: MatrixGroup):
@@ -246,13 +396,13 @@ def is_rotation_group(group: MatrixGroup):
     elems = group.elements
     if len(elems) == 1:
         return False, {"reason": "trivial group", "rotation_generators": []}
-    rotations = [i for i, g in enumerate(elems) if classify(g).tag == "rotation"]
+    rotations = _indices_of(group, "rotation")
     if not rotations:
         return False, {"reason": "no rotation elements", "rotation_generators": []}
     ok, chosen, span = _greedy_generated(group, rotations)
     if ok:
         return True, {"rotation_generators": chosen, "rotation_count": len(rotations)}
-    missing = next(i for i, g in enumerate(elems) if g.key not in span)
+    missing = next(i for i, r in enumerate(elems.residues) if r not in span)
     return False, {
         "rotation_generators": chosen,
         "rotation_count": len(rotations),
@@ -273,7 +423,7 @@ def generating_reflections(group: MatrixGroup):
     elems = group.elements
     if len(elems) == 1:
         return None
-    refl = [i for i, g in enumerate(elems) if classify(g).tag == "reflection"]
+    refl = _indices_of(group, "reflection")
     if not refl:
         return None
     ok, chosen, _ = _greedy_generated(group, refl)
@@ -359,14 +509,14 @@ def realify(m: MatrixF) -> MatrixF:
 def realified_gmpn_group(m: int, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
     """The rotation group of interest: G(m,1,2) realified into O_4.  Its
     order 2m^2 is known, so a group larger than `cap` is rejected before
-    any closure."""
+    any closure, and the closure must reach exactly that order."""
     order = gmpn_order(m, 1, 2)
     if m >= 1 and order > cap:
         raise ClosureCapExceeded(
             f"G({m},1,2) has order {order}, above the closure cap {cap}"
         )
     gens = [realify(g) for g in gmpn_generators(m, 1, 2)]
-    grp = MatrixGroup(gens, name=f"G({m},1,2)r")
+    grp = MatrixGroup(gens, name=f"G({m},1,2)r", order=order)
     grp.ensure_elements(cap)
     return grp
 
@@ -422,6 +572,17 @@ def _factor_degree(factor) -> int:
     if fam == "I2":
         return 2
     return int(fam[1])
+
+
+_FACTOR_ORDERS = {
+    "1": 1, "A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
+    "B4": 384, "D4": 192, "F4": 1152, "H3": 120, "H4": 14400,
+}
+
+
+def _factor_order(fam, param) -> int:
+    """The order of an irreducible factor's group (I2(k): dihedral, 2k)."""
+    return 2 * param if fam == "I2" else _FACTOR_ORDERS[fam]
 
 
 def _factor_conductor(fam, param) -> int:
@@ -618,79 +779,64 @@ def _irreducible_generators(fam: str, param):
     raise ValueError(f"unknown irreducible family {fam}")
 
 
+def _block_diagonal(blocks, L: int, name, order) -> MatrixGroup:
+    """The group acting on consecutive coordinate blocks, one block per
+    (dimension, generators) pair: each generator acts on its own block, as
+    the identity elsewhere.  `order` is the group order, when known."""
+    total = sum(d for d, _ in blocks)
+    one, zero = CycNum.one(L), CycNum.zero(L)
+    gens = []
+    offset = 0
+    for d, block_gens in blocks:
+        for g in block_gens:
+            g = g.embed(L)
+            gens.append(MatrixF.from_rows(
+                [
+                    g.entry(a - offset, b - offset)
+                    if offset <= a < offset + d and offset <= b < offset + d
+                    else (one if a == b else zero)
+                    for b in range(total)
+                ]
+                for a in range(total)
+            ))
+        offset += d
+    return MatrixGroup(gens, ambient_dim=total, conductor=L, name=name, order=order)
+
+
 _CATALOG_CACHE: dict[str, MatrixGroup] = {}
 
 
 def catalog_group(entry) -> MatrixGroup:
     """Build the standard-position group for a catalog label or entry.
 
-    Elements are computed lazily; results are cached per label within the
-    process (groups are immutable)."""
+    Its order is the product of the factor orders.  Elements are computed
+    lazily; results are cached per label within the process (groups are
+    immutable)."""
     if isinstance(entry, str):
         entry = parse_label(entry)
     cached = _CATALOG_CACHE.get(entry.label)
     if cached is not None:
         return cached
-    L = entry.conductor_required
-    gens = []
-    offset = 0
-    total = entry.degree
-    zero = CycNum.zero(L)
-    for fam, param in entry.factors:
-        d = _factor_degree((fam, param))
-        for g in _irreducible_generators(fam, param):
-            g = g.embed(L)
-            rows = []
-            for a in range(total):
-                row = []
-                for b in range(total):
-                    if offset <= a < offset + d and offset <= b < offset + d:
-                        row.append(g.entry(a - offset, b - offset))
-                    elif a == b:
-                        row.append(CycNum.one(L))
-                    else:
-                        row.append(zero)
-                rows.append(row)
-            gens.append(MatrixF.from_rows(rows))
-        offset += d
-    grp = MatrixGroup(gens, ambient_dim=total, conductor=L, name=entry.label)
+    grp = _block_diagonal(
+        [(_factor_degree(f), _irreducible_generators(*f)) for f in entry.factors],
+        entry.conductor_required,
+        entry.label,
+        math.prod(_factor_order(*f) for f in entry.factors),
+    )
     _CATALOG_CACHE[entry.label] = grp
     return grp
 
 
 def direct_sum(a: MatrixGroup, b: MatrixGroup) -> MatrixGroup:
     """The product group acting in orthogonal coordinate blocks."""
-    L = math.lcm(a.conductor, b.conductor)
-    n1, n2 = a.ambient_dim, b.ambient_dim
-    total = n1 + n2
-    zero = CycNum.zero(L)
-    gens = []
-    for g in a.generators:
-        g = g.embed(L)
-        rows = []
-        for i in range(total):
-            row = []
-            for j in range(total):
-                if i < n1 and j < n1:
-                    row.append(g.entry(i, j))
-                else:
-                    row.append(CycNum.one(L) if i == j else zero)
-            rows.append(row)
-        gens.append(MatrixF.from_rows(rows))
-    for g in b.generators:
-        g = g.embed(L)
-        rows = []
-        for i in range(total):
-            row = []
-            for j in range(total):
-                if i >= n1 and j >= n1:
-                    row.append(g.entry(i - n1, j - n1))
-                else:
-                    row.append(CycNum.one(L) if i == j else zero)
-            rows.append(row)
-        gens.append(MatrixF.from_rows(rows))
     name = f"{a.name}x{b.name}" if a.name and b.name else None
-    return MatrixGroup(gens, ambient_dim=total, conductor=L, name=name)
+    known = a.known_order is not None and b.known_order is not None
+    return _block_diagonal(
+        [(a.ambient_dim, a.generators), (b.ambient_dim, b.generators)],
+        math.lcm(a.conductor, b.conductor),
+        name,
+        a.known_order * b.known_order if known else None,
+    )
 
 
 def pad_trivial(g: MatrixGroup, extra: int) -> MatrixGroup:
@@ -699,23 +845,12 @@ def pad_trivial(g: MatrixGroup, extra: int) -> MatrixGroup:
         raise ValueError("extra must be nonnegative")
     if extra == 0:
         return g
-    L = g.conductor
-    total = g.ambient_dim + extra
-    zero = CycNum.zero(L)
-    gens = []
-    for gen in g.generators:
-        rows = []
-        for i in range(total):
-            row = []
-            for j in range(total):
-                if i < g.ambient_dim and j < g.ambient_dim:
-                    row.append(gen.entry(i, j))
-                else:
-                    row.append(CycNum.one(L) if i == j else zero)
-            rows.append(row)
-        gens.append(MatrixF.from_rows(rows))
-    name = (g.name or "?") + "x1" * extra
-    return MatrixGroup(gens, ambient_dim=total, conductor=L, name=name)
+    return _block_diagonal(
+        [(g.ambient_dim, g.generators), (extra, ())],
+        g.conductor,
+        (g.name or "?") + "x1" * extra,
+        g.known_order,
+    )
 
 
 def enumerate_degree4_catalog(k_max: int):

@@ -32,7 +32,6 @@ __all__ = [
     "subspace_intersect",
     "intersection_dim",
     "subspace_sum",
-    "subspace_equal",
     "subspace_contains",
     "meets_nontrivially",
     "matrix_to_json",
@@ -175,9 +174,6 @@ class MatrixF:
                             acc[s] += ck * rr[s]
                 out.append(tuple(acc[:phi]))
         return MatrixF._normalized(n, p, self.conductor, self.den * other.den, out)
-
-    def multiply(self, other: "MatrixF") -> "MatrixF":
-        return self @ other
 
     def __sub__(self, other: "MatrixF") -> "MatrixF":
         if self.conductor != other.conductor:
@@ -476,11 +472,6 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_rows(
         u.ambient_dim, list(u.basis) + list(v.basis), u.conductor
     )
-
-
-def subspace_equal(u: Subspace, v: Subspace) -> bool:
-    _check_ambient(u, v)
-    return u.key == v.key
 
 
 def subspace_contains(u: Subspace, v: Subspace) -> bool:

@@ -46,7 +46,6 @@ from rotref.groups import (
     BIG_FACTOR_LABELS,
     MatrixGroup,
     catalog_group,
-    classify,
     direct_sum,
     enumerate_degree4_catalog,
     is_rotation_group,
@@ -71,6 +70,7 @@ __all__ = [
     "VerificationReport",
     "ThresholdResult",
     "DIRECT_ARRANGEMENT_M_CAP",
+    "LEMMA_PLANE_CONDUCTOR_CAP",
     "verify_lemma_AG",
     "verify_rotation_group",
     "verify_lemma_plane",
@@ -85,6 +85,11 @@ __all__ = [
 # largest m for which the wreath arrangement is recomputed from the group
 # closure; beyond it the verified m+2-plane description is used instead
 DIRECT_ARRANGEMENT_M_CAP = 12
+
+# largest conductor lcm(4, m) that lemma-plane accepts: its tables and its m
+# zeta planes grow with the conductor; on a 2-vCPU host, conductor 1000
+# (m = 1000) takes about a second and 4004 (m = 1001) about a minute
+LEMMA_PLANE_CONDUCTOR_CAP = 1000
 
 
 @dataclass
@@ -216,8 +221,8 @@ def verify_rotation_group(m: int) -> VerificationReport:
     ok_rot, cert_rot = is_rotation_group(grp)
     codims = {}
     no_reflections = True
-    for g in grp.elements[1:]:
-        c = classify(g).fix_codim
+    for d in grp.fixed_dims()[1:]:
+        c = grp.ambient_dim - d
         codims[c] = codims.get(c, 0) + 1
         if c not in (2, 4):
             no_reflections = False
@@ -248,8 +253,13 @@ def verify_lemma_plane(m: int, samples: int, seed: int) -> VerificationReport:
         raise ValueError("m must be >= 2")
     if samples < 1:
         raise ValueError("samples must be positive")
-    t0 = time.perf_counter()
     L = math.lcm(4, m)
+    if L > LEMMA_PLANE_CONDUCTOR_CAP:
+        raise ValueError(
+            f"m = {m} needs conductor lcm(4, m) = {L}, above the lemma-plane "
+            f"cap {LEMMA_PLANE_CONDUCTOR_CAP}"
+        )
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     zeta_planes = [zeta_plane(L, m, j) for j in range(m)]
     histogram: dict[int, int] = {}

@@ -28,11 +28,9 @@ from rotref.arrangements import (
     complex_coords,
     coordinate_plane_x0,
     coordinate_plane_y0,
-    fixed_space_of_subset,
     isotropy_arrangement,
     phase_ratio,
     plane_meet_count,
-    pointwise_stabilizer,
     reflection_arrangement,
     sample_rational_plane,
     structural_dichotomy_check,
@@ -42,11 +40,19 @@ from rotref.arrangements import (
 from rotref.arrangements import _dot, _reflection_vector
 
 
-# -- fixed spaces of subsets ---------------------------------------------------
+# -- joint fixed spaces ----------------------------------------------------------
+
+def _joint_fixed_space(group, indices):
+    """The common fixed space of the chosen elements (none chosen: V)."""
+    acc = Subspace.full(group.ambient_dim, group.conductor)
+    for i in indices:
+        acc = subspace_intersect(acc, fixed_space(group.elements[i]))
+    return acc
+
 
 def test_fixed_space_of_identity_subset():
     g = realified_gmpn_group(3)
-    assert fixed_space_of_subset(g, [0]) == Subspace.full(4, 12)
+    assert _joint_fixed_space(g, [0]) == Subspace.full(4, 12)
 
 
 def test_fixed_space_of_two_rotations_is_zero():
@@ -58,38 +64,13 @@ def test_fixed_space_of_two_rotations_is_zero():
     d1 = realify(gmpn_generators(3, 1, 2)[0])
     swap = realify(gmpn_generators(3, 1, 2)[1])
     d2 = swap @ d1 @ swap
-    sub = fixed_space_of_subset(g, [by_key[d1.key], by_key[d2.key]])
+    sub = _joint_fixed_space(g, [by_key[d1.key], by_key[d2.key]])
     assert sub.is_zero()
 
 
 def test_fixed_space_of_whole_group_is_zero():
     g = realified_gmpn_group(3)
-    assert fixed_space_of_subset(g, range(g.order)).is_zero()
-
-
-def test_pointwise_stabilizer_extremes():
-    g = realified_gmpn_group(3)
-    assert pointwise_stabilizer(g, Subspace.zero_space(4, 12)) == list(range(18))
-    assert pointwise_stabilizer(g, Subspace.full(4, 12)) == [0]
-
-
-def test_pointwise_stabilizer_of_diagonal_plane():
-    g = realified_gmpn_group(3)
-    diag = Subspace.from_rows(
-        4,
-        [
-            [CycNum.one(12), CycNum.zero(12), CycNum.one(12), CycNum.zero(12)],
-            [CycNum.zero(12), CycNum.one(12), CycNum.zero(12), CycNum.one(12)],
-        ],
-    )
-    stab = pointwise_stabilizer(g, diag)
-    assert len(stab) == 2 and stab[0] == 0
-    # the returned index set is a subgroup
-    elems = g.elements
-    keys = {elems[i].key for i in stab}
-    for i in stab:
-        for j in stab:
-            assert (elems[i] @ elems[j]).key in keys
+    assert _joint_fixed_space(g, range(g.order)).is_zero()
 
 
 # -- isotropy arrangement -------------------------------------------------------
@@ -141,7 +122,7 @@ def test_isotropy_provenance_witnesses():
     g = realified_gmpn_group(3)
     arr = isotropy_arrangement(g)
     for s, prov in zip(arr.subspaces, arr.provenance):
-        assert fixed_space_of_subset(g, prov["fixing_elements"]) == s
+        assert _joint_fixed_space(g, prov["fixing_elements"]) == s
 
 
 # -- reflection arrangement -------------------------------------------------------

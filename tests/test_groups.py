@@ -10,6 +10,7 @@ from rotref.groups import (
     BIG_FACTOR_LABELS,
     CatalogEntry,
     ClosureCapExceeded,
+    MatrixGroup,
     catalog_group,
     classify,
     closure,
@@ -377,3 +378,113 @@ def test_group_json_roundtrip():
     back.ensure_elements()
     assert back.order == 10
     assert back.ambient_dim == 2 and back.conductor == 20
+
+
+# -- closure mod p ---------------------------------------------------------------------
+
+def _exact_bfs_keys(generators):
+    """Keys of the breadth-first closure taken in exact arithmetic, in the
+    order of discovery: the reference for the closure mod p."""
+    n, L = generators[0].rows, generators[0].conductor
+    elems = [MatrixF.identity(n, L)]
+    seen = {elems[0].key}
+    i = 0
+    while i < len(elems):
+        for g in generators:
+            prod = elems[i] @ g
+            if prod.key not in seen:
+                seen.add(prod.key)
+                elems.append(prod)
+        i += 1
+    return [e.key for e in elems]
+
+
+GMPN_CASES = [(2, 2, 2), (4, 2, 2), (6, 3, 2), (2, 1, 3), (3, 1, 2), (4, 1, 2)]
+SWEEP_GROUPS = ("A3xA1", "B3xA1", "H3xA1", "I2(5)xI2(8)", "I2(7)xI2(8)")
+
+
+def _equivalence_groups():
+    out = [realified_gmpn_group(m) for m in range(1, 13)]
+    out += [closure(gmpn_generators(*case)) for case in GMPN_CASES]
+    return out
+
+
+def test_modular_closure_matches_exact_order():
+    for grp in _equivalence_groups():
+        keys = [e.key for e in grp.elements]
+        assert keys == _exact_bfs_keys(grp.generators), grp
+        assert grp.element_keys() == set(keys)
+
+
+def test_group_fixed_dims_match_exact_fixed_spaces():
+    groups = _equivalence_groups() + [catalog_group(lbl) for lbl in SWEEP_GROUPS]
+    for grp in groups:
+        dims = grp.fixed_dims()
+        assert len(dims) == grp.order
+        for d, e in zip(dims, grp.elements):
+            assert d == fixed_space(e).dim, grp
+        assert [c.fix_codim for c in grp.element_classes()] == [
+            grp.ambient_dim - d for d in dims
+        ]
+
+
+def test_h4_codimension_histogram():
+    h4 = catalog_group("H4")
+    hist = {}
+    for c in h4.element_classes():
+        hist[c.fix_codim] = hist.get(c.fix_codim, 0) + 1
+    assert hist == {0: 1, 1: 60, 2: 1138, 3: 7140, 4: 6061}
+
+
+def test_exact_elements_are_built_on_demand(monkeypatch):
+    grp = realified_gmpn_group(7)
+    calls = []
+    matmul = MatrixF.__matmul__
+
+    def counting(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(MatrixF, "__matmul__", counting)
+    ok, _ = is_rotation_group(grp)
+    assert ok and len(grp.fixed_dims()) == 98
+    assert calls == []
+    # reading an element builds it and the unbuilt elements on its parent
+    # chain, one product each, and keeps them
+    elems = grp.elements
+    last = elems[-1]
+    assert 1 <= len(calls) <= 97
+    calls.clear()
+    assert elems[-1] is last and calls == []
+
+
+def test_membership():
+    grp = realified_gmpn_group(3)
+    assert all(e in grp for e in grp.elements[:4])
+    assert rat_mat(12, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) not in grp
+
+
+def test_known_order_must_be_reached():
+    gens = gmpn_generators(3, 1, 2)
+    assert MatrixGroup(gens, order=18).order == 18
+    with pytest.raises(ArithmeticError):
+        MatrixGroup(gens, order=17).ensure_elements()
+
+
+def test_closure_rejects_group_trivial_mod_p():
+    # diag(1 + p, 1) has infinite order, yet its image mod p is the identity:
+    # the Schreier relation t_0 s = t_0 fails exactly
+    p = _mod_image(4).p
+    with pytest.raises(ClosureCapExceeded):
+        closure([rat_mat(4, [[1 + p, 0], [0, 1]])])
+
+
+def test_closure_rejects_denominator_divisible_by_p():
+    p = _mod_image(4).p
+    with pytest.raises(ValueError, match="denominator is divisible"):
+        closure([rat_mat(4, [[Fraction(1, p), 0], [0, 1]])])
+
+
+def test_closure_of_infinite_diagonal_hits_cap():
+    with pytest.raises(ClosureCapExceeded):
+        closure([rat_mat(4, [[2, 0], [0, 1]])])

@@ -21,7 +21,6 @@ from rotref.linalg import (
     matrix_to_json,
     meets_nontrivially,
     subspace_contains,
-    subspace_equal,
     subspace_from_json,
     subspace_intersect,
     subspace_sum,
@@ -205,7 +204,7 @@ def test_contains_and_equal():
     span = Subspace.from_rows(
         4, [[rat(4, 2), rat(4, 0), rat(4, 0), rat(4, 0)], [rat(4, 0), rat(4, 5), rat(4, 0), rat(4, 0)]]
     )
-    assert subspace_equal(span, plane_y0())
+    assert span == plane_y0()
 
 
 def test_sum_examples():

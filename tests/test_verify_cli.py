@@ -289,3 +289,62 @@ def test_cli_threshold_honours_jobs(tmp_path, monkeypatch):
         blobs.append(path.read_bytes())
     assert seen == [1, 2]
     assert blobs[0] == blobs[1]
+
+
+def _run_cli(args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "rotref.cli", *args],
+        env=env, capture_output=True, text=True, timeout=30, cwd=cwd,
+    )
+
+
+def test_cli_lemma_plane_rejects_huge_conductor_at_once():
+    # conductor 20000 would take minutes to tabulate; the cap is checked first
+    proc = _run_cli(["lemma-plane", "--m", "20000", "--samples", "1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_lemma_plane_runs_at_the_conductor_cap():
+    assert verify.LEMMA_PLANE_CONDUCTOR_CAP == 1000
+    assert verify_lemma_plane(1000, 1, 0).certificate["samples"] == 1
+    with pytest.raises(ValueError):
+        verify_lemma_plane(251, 1, 0)  # conductor lcm(4, 251) = 1004
+
+
+def _diag_group_file(path, a, b):
+    """A JSON group over conductor 4 with the one generator diag(a, b)."""
+    def entry(v):
+        return {"conductor": 4, "coeffs": [str(v), "0"]}
+
+    path.write_text(json.dumps({
+        "name": "hostile", "ambient": 2, "conductor": 4,
+        "generators": [{"rows": 2, "cols": 2, "entries": [
+            entry(a), entry(0), entry(0), entry(b),
+        ]}],
+    }))
+    return path
+
+
+_P4 = groups._mod_image(4).p
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1 + _P4, 1), (f"1/{_P4}", 1), (2, 1)],
+    ids=["trivial-mod-p", "denominator-divisible-by-p", "infinite-order-at-cap"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["group", "show"], ["arrangement", "compute", "--method", "isotropy"]],
+    ids=["group-show", "arrangement-isotropy"],
+)
+def test_cli_hostile_group_exits_2(a, b, command, tmp_path):
+    path = _diag_group_file(tmp_path / "group.json", a, b)
+    args = command[:2] + [str(path)] + command[2:]
+    proc = _run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
