@@ -44,7 +44,7 @@ show("Re zeta_12", re.pretty())
 show("Im zeta_12", im.pretty())
 show("Re^2 + Im^2", (re * re + im * im).pretty())
 
-print("\nexact signs of real values (interval refinement, no floats leak in):")
+print("\nexact signs of real values (one integer pass, its precision fixed by a norm bound):")
 sqrt5 = zeta_power(20, 4) - zeta_power(20, 8) - zeta_power(20, 12) + zeta_power(20, 16)
 show("sqrt5 * sqrt5", (sqrt5 * sqrt5).pretty())
 show("sign(sqrt5 - 2)", real_sign(sqrt5 - CycNum.rational(20, 2)))

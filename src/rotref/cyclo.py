@@ -20,11 +20,8 @@ positive denominator), which is exactly the invariant the code needs.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import reduce
-
-import mpmath
 
 __all__ = [
     "CycNum",
@@ -32,7 +29,6 @@ __all__ = [
     "euler_phi",
     "zeta_power",
     "embed",
-    "cyc_conj",
     "real_imag_parts",
     "real_sign",
     "is_positive_real",
@@ -41,9 +37,13 @@ __all__ = [
     "cyc_to_json",
     "cyc_from_json",
     "ConductorMismatch",
+    "CONDUCTOR_CAP",
 ]
 
-Rational = Fraction
+# largest conductor that JSON input and lemma-plane accept: on a 2-vCPU host,
+# lemma-plane takes about a second at L = 1000 and a minute at L = 4004, and
+# a group file at L = 60060 ran past 20 s while it built tables
+CONDUCTOR_CAP = 1000
 
 
 class ConductorMismatch(ValueError):
@@ -453,20 +453,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class _ModImage:
     """Ring homomorphism Z[zeta_L] -> F_p with p = 1 (mod L); zeta_L maps to
     an element of exact multiplicative order L, hence to a root of Phi_L."""
@@ -474,18 +460,13 @@ class _ModImage:
     __slots__ = ("p", "powers")
 
     def __init__(self, L: int):
-        t = (1 << 41) // L + 1
-        while not _is_prime(L * t + 1):
-            t += 1
-        p = L * t + 1
+        p = ((1 << 41) // L + 1) * L + 1
+        while not _is_prime(p):
+            p += L
         self.p = p
-        qs = _prime_factors(L)
-        g = None
-        for h in range(2, 1000):
-            cand = pow(h, (p - 1) // L, p)
-            if all(pow(cand, L // q, p) != 1 for q in qs):
-                g = cand
-                break
+        divisors = [d for d in range(1, L) if L % d == 0]
+        cands = (pow(h, (p - 1) // L, p) for h in range(2, 1000))
+        g = next((c for c in cands if all(pow(c, d, p) != 1 for d in divisors)), None)
         if g is None:  # pragma: no cover
             raise ArithmeticError("no order-L element found")
         self.powers = [pow(g, i, p) for i in range(euler_phi(L))]
@@ -553,10 +534,6 @@ def embed(a: CycNum, L2: int) -> CycNum:
     return a.embed(L2)
 
 
-def cyc_conj(a: CycNum) -> CycNum:
-    return a.conj()
-
-
 def real_imag_parts(a: CycNum) -> tuple[CycNum, CycNum]:
     """Split a = re + i*im with re, im fixed by conjugation; needs 4 | L."""
     L = a.conductor
@@ -574,73 +551,88 @@ def real_imag_parts(a: CycNum) -> tuple[CycNum, CycNum]:
 # ---------------------------------------------------------------------------
 #
 # The distinguished real embedding sends zeta_L to exp(2*pi*i/L); a value
-# fixed by conjugation lands on sum(num[k]/den * cos(2*pi*k/L)).  Signs are
-# decided rigorously with scaled-integer interval enclosures of the cosines,
-# refined until the interval excludes zero (always terminates on nonzero
-# input since the embedding is injective).
+# fixed by conjugation lands on sum(num[k]/den * cos(2*pi*k/L)).  An
+# enclosure at scale S is a pair of integers lo <= S*x <= hi.
 
-_COS_ENCLOSURES: dict[tuple[int, int], list[tuple[int, int]]] = {}
-_COS_LOCK = threading.Lock()  # mpmath's interval precision is global state
-
-
-def _raw_mpf_to_fraction(t) -> Fraction:
-    sign, man, exp, _ = t
-    if man == 0:
-        return Fraction(0)
-    f = Fraction(man) * (Fraction(2) ** exp)
-    return -f if sign else f
+def _alternating(terms) -> tuple[int, int]:
+    """Enclose sum((-1)^n t_n) from pairs dn_n <= S*t_n <= up_n, up to the first
+    up_n <= 1; if no t_n increases from there on, the tail is at most 1/S."""
+    lo = hi = 0
+    for n, (dn, up) in enumerate(terms):
+        if up <= 1:
+            return lo - 1, hi + 1
+        lo, hi = (lo - up, hi - dn) if n % 2 else (lo + dn, hi + up)
 
 
-def _cos_table(L: int, bits: int):
-    key = (L, bits)
-    table = _COS_ENCLOSURES.get(key)
-    if table is not None:
-        return table
-    phi = _tables(L).phi
-    iv = mpmath.iv
-    with _COS_LOCK:
-        old = iv.prec
-        try:
-            iv.prec = bits + 16
-            scale = 1 << bits
-            table = []
-            for k in range(phi):
-                enc = iv.cos(2 * iv.pi * k / L)
-                raw_lo, raw_hi = enc._mpi_
-                lo = _raw_mpf_to_fraction(raw_lo) * scale
-                hi = _raw_mpf_to_fraction(raw_hi) * scale
-                table.append((math.floor(lo), math.ceil(hi)))
-        finally:
-            iv.prec = old
-    _COS_ENCLOSURES[key] = table
-    return table
+def _arctan_inv_terms(m: int, scale: int):
+    """arctan(1/m) = sum((-1)^n / ((2n+1) m^(2n+1))); as floor(floor(x)/q) =
+    floor(x/q), and likewise ceil, each pair is the exact floor and ceil."""
+    dn, up, q = scale // m, -(-scale // m), 1
+    while True:
+        yield dn // q, -(-up // q)
+        dn, up, q = dn // (m * m), -(-up // (m * m)), q + 2
+
+
+def _cos_terms(x_lo: int, x_hi: int, scale: int):
+    """x^(2n)/(2n)! for every x in [x_lo, x_hi]/scale, rounded down from x_lo
+    and up from x_hi; they decrease from n = 1 on when x^2 < 12."""
+    dn = up = scale
+    n = 0
+    while True:
+        yield dn, up
+        n += 2
+        q = scale * scale * (n - 1) * n
+        dn, up = dn * x_lo * x_lo // q, -(-up * x_hi * x_hi // q)
+
+
+def _pi(scale: int) -> tuple[int, int]:
+    """Enclose pi by Machin's formula 16 arctan(1/5) - 4 arctan(1/239)."""
+    a_lo, a_hi = _alternating(_arctan_inv_terms(5, scale))
+    b_lo, b_hi = _alternating(_arctan_inv_terms(239, scale))
+    return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
+
+
+def _cos(k: int, L: int, pi: tuple[int, int], scale: int) -> tuple[int, int]:
+    """Enclose cos(2*pi*k/L), 0 <= k < L, given an enclosure of pi."""
+    p = 2 * min(k, L - k)  # cos(2*pi*k/L) = cos(pi*p/L), 0 <= p <= L
+    flip = 2 * p > L  # cos(pi*p/L) = -cos(pi*(L - p)/L), and pi*p/L <= pi/2
+    if flip:
+        p = L - p
+    lo, hi = _alternating(_cos_terms(pi[0] * p // L, -(-pi[1] * p // L), scale))
+    return (-hi, -lo) if flip else (lo, hi)
 
 
 def real_sign(a: CycNum) -> int:
-    """Exact sign (-1, 0, +1) of a conjugation-fixed cyclotomic number."""
+    """Exact sign (-1, 0, +1) of a conjugation-fixed cyclotomic number.
+
+    One pass, at a precision fixed by a norm bound (README, design notes,
+    "Signs in one pass").  For a = num/den fixed by conjugation and not
+    rational, num is a nonzero algebraic integer of K+ = Q(zeta_L + zeta_L^-1),
+    of degree d = phi(L)/2 >= 2, so its norm to Q is a nonzero integer.  Its
+    other d - 1 real conjugates have absolute values at most s = sum|num_k|,
+    so |sum(num_k cos(2*pi*k/L))| >= s^-(d - 1).  With each cosine enclosed
+    within w/S at scale S = 2^bits, the sum is within s*w/S < s^-(d - 1)
+    once S > w*s^d, that is bits = d*bitlen(s) + g with 2^g > w.  The width w
+    of `_cos`, from Machin's formula for pi and the Taylor series, stays
+    below 6*bits + 120, so g = bitlen(d*bitlen(s)) + 8 is enough, and an
+    enclosure that still holds 0 contradicts the bound.
+    """
     if a.conj() != a:
         raise ValueError("real_sign needs a conjugation-fixed value")
-    if a.is_zero():
-        return 0
     if a.is_rational():
-        return 1 if a.num[0] > 0 else -1
-    bits = 128
-    while bits <= 16384:
-        table = _cos_table(a.conductor, bits)
-        lo = hi = 0
-        for v, (clo, chi) in zip(a.num, table):
-            if v > 0:
-                lo += v * clo
-                hi += v * chi
-            elif v < 0:
-                lo += v * chi
-                hi += v * clo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
-    raise ArithmeticError("interval refinement failed to separate from zero")
+        return (a.num[0] > 0) - (a.num[0] < 0)
+    L = a.conductor
+    base = _tables(L).phi // 2 * sum(abs(v) for v in a.num).bit_length()
+    scale = 1 << (base + base.bit_length() + 8)
+    pi = _pi(scale)
+    lo = hi = 0
+    for k, v in enumerate(a.num):
+        if v:
+            c = _cos(k, L, pi, scale)
+            lo, hi = lo + min(v * c[0], v * c[1]), hi + max(v * c[0], v * c[1])
+    if lo <= 0 <= hi:
+        raise ArithmeticError("the enclosure holds 0, against the norm bound")
+    return 1 if lo > 0 else -1
 
 
 def is_positive_real(a: CycNum) -> bool:
@@ -669,6 +661,8 @@ def cyc_to_json(a: CycNum) -> dict:
 
 def cyc_from_json(d: dict) -> CycNum:
     L = int(d["conductor"])
+    if L > CONDUCTOR_CAP:
+        raise ValueError(f"conductor {L} is above the cap {CONDUCTOR_CAP}")
     try:
         coeffs = [rational_from_json(s) for s in d["coeffs"]]
     except ZeroDivisionError:

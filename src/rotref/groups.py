@@ -28,6 +28,7 @@ from fractions import Fraction
 from operator import mul
 
 from rotref.cyclo import (
+    CONDUCTOR_CAP,
     ConductorMismatch,
     CycNum,
     _mod_image,
@@ -43,6 +44,7 @@ from rotref.linalg import (
 )
 
 __all__ = [
+    "AMBIENT_CAP",
     "DEFAULT_CLOSURE_CAP",
     "ClosureCapExceeded",
     "ElementClass",
@@ -71,6 +73,10 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 20000
+
+# largest ambient dimension of a JSON group: a group with no generators builds
+# its n x n identity, which at n = 30000 exhausts memory
+AMBIENT_CAP = 16
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -895,19 +901,20 @@ def group_to_json(g: MatrixGroup) -> dict:
 
 
 def group_from_json(d: dict) -> MatrixGroup:
-    """Parse a group file; a missing key or a value of the wrong JSON type
-    anywhere in it raises ValueError."""
+    """Parse a group file; a missing key, a value of the wrong JSON type or an
+    ambient or conductor above its cap (checked first) raises ValueError."""
     try:
         L = int(d["conductor"])
         n = int(d["ambient"])
+        if not (1 <= n <= AMBIENT_CAP and L <= CONDUCTOR_CAP):
+            raise ValueError(f"JSON group needs 1 <= ambient <= {AMBIENT_CAP} and "
+                             f"conductor <= {CONDUCTOR_CAP}, not {n} and {L}")
         gens = [matrix_from_json(m).embed(L) for m in d["generators"]]
         name = d.get("name")
     except KeyError as exc:
         raise ValueError(f"JSON group lacks the key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"JSON group has a value of the wrong type: {exc}") from None
-    if n < 1:
-        raise ValueError(f"JSON group ambient must be a positive integer, not {n}")
     if any(m.rows != n or m.cols != n for m in gens):
         raise ValueError(
             f"JSON group declares ambient {n}, but a generator is not {n}x{n}"

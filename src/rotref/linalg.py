@@ -84,8 +84,8 @@ class MatrixF:
     @staticmethod
     def from_entries(rows: int, cols: int, entries) -> "MatrixF":
         entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count must equal rows*cols")
+        if not entries or len(entries) != rows * cols:
+            raise ValueError("entry count must equal rows*cols, and be positive")
         L = entries[0].conductor
         for e in entries:
             if e.conductor != L:

@@ -35,7 +35,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from rotref.cyclo import euler_phi
+from rotref.cyclo import CONDUCTOR_CAP, euler_phi
 from rotref.linalg import (
     Subspace,
     intersection_dim,
@@ -70,7 +70,6 @@ __all__ = [
     "VerificationReport",
     "ThresholdResult",
     "DIRECT_ARRANGEMENT_M_CAP",
-    "LEMMA_PLANE_CONDUCTOR_CAP",
     "verify_lemma_AG",
     "verify_rotation_group",
     "verify_lemma_plane",
@@ -85,11 +84,6 @@ __all__ = [
 # largest m for which the wreath arrangement is recomputed from the group
 # closure; beyond it the verified m+2-plane description is used instead
 DIRECT_ARRANGEMENT_M_CAP = 12
-
-# largest conductor lcm(4, m) that lemma-plane accepts: its tables and its m
-# zeta planes grow with the conductor; on a 2-vCPU host, conductor 1000
-# (m = 1000) takes about a second and 4004 (m = 1001) about a minute
-LEMMA_PLANE_CONDUCTOR_CAP = 1000
 
 
 @dataclass
@@ -254,10 +248,10 @@ def verify_lemma_plane(m: int, samples: int, seed: int) -> VerificationReport:
     if samples < 1:
         raise ValueError("samples must be positive")
     L = math.lcm(4, m)
-    if L > LEMMA_PLANE_CONDUCTOR_CAP:
+    if L > CONDUCTOR_CAP:
         raise ValueError(
-            f"m = {m} needs conductor lcm(4, m) = {L}, above the lemma-plane "
-            f"cap {LEMMA_PLANE_CONDUCTOR_CAP}"
+            f"m = {m} needs conductor lcm(4, m) = {L}, above the conductor "
+            f"cap {CONDUCTOR_CAP}"
         )
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -523,9 +517,9 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
         "max_planes_big_factor": threshold.max_planes_big_factor,
         "wreath_plane_count": m + 2,
         "scope": (
-            "every orthogonal position of every degree-4 reflection group "
-            "with an irreducible factor of degree 3 or 4 (plane counts are "
-            "invariant under orthogonal change of basis)"
+            "every invertible linear change of basis of every degree-4 "
+            "reflection group with an irreducible factor of degree 3 or 4 "
+            "(an invertible linear map preserves plane counts)"
         ),
     }
     if applicable:
@@ -574,9 +568,12 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
             ),
         },
         "conclusion": (
-            "a plane can meet at most 2 + 2 of the m+2 pairwise-transverse "
-            "planes, so for m >= 3 they cannot all meet a common block "
-            "plane, and none can equal a block plane"
+            "every plane of a 2+2 reflection arrangement is V1, V2 or meets "
+            "both; a wreath plane equal to V1 (or V2) would force the other "
+            "m+1 >= 4 pairwise-transverse planes all to equal V2 (or V1), so "
+            "all m+2 meet V1; V1 then meets both coordinate planes, so by the "
+            "corrected bound it meets at most one antipodal pair of the m >= 3 "
+            "planes y = zeta^j x"
         ),
         "applicable": m >= 3,
         "pass": part_iii_ok,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import pytest
 
 from rotref.cyclo import CycNum, zeta_power
 from rotref.cli import main
-from rotref.linalg import MatrixF, Subspace, subspace_contains, subspace_intersect
+from rotref.linalg import (
+    MatrixF,
+    Subspace,
+    meets_nontrivially,
+    subspace_contains,
+    subspace_intersect,
+)
 from rotref.groups import (
     BIG_FACTOR_LABELS,
     ClosureCapExceeded,
@@ -455,6 +462,18 @@ def test_meet_count_two_for_antipodal_pair_even_m():
     assert plane_meet_count(p, 2) == 2
     assert plane_meet_count(p, 4) == 2
     assert plane_meet_count(p.embed(12), 3) == 1
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 12])
+def test_conjugate_graph_meets_every_zeta_plane_and_no_coordinate_plane(m):
+    # {(z, conj z)} meets every y = zeta^j x, so no bound on the planes a
+    # plane can meet holds without the coordinate-plane precondition
+    L = math.lcm(4, m)
+    zero, one = CycNum.zero(L), CycNum.one(L)
+    p = Subspace.from_rows(4, [[one, zero, one, zero], [zero, one, zero, -one]])
+    assert all(meets_nontrivially(p, zeta_plane(L, m, j)) for j in range(m))
+    assert not meets_nontrivially(p, coordinate_plane_x0(L))
+    assert not meets_nontrivially(p, coordinate_plane_y0(L))
 
 
 def test_meet_count_even_m_bound_two_with_antipodal_structure():

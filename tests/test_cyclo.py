@@ -22,7 +22,7 @@ from rotref.cyclo import (
     real_sign,
     zeta_power,
 )
-from rotref.cyclo import _mod_image, _poly_mul_int
+from rotref.cyclo import _cos, _mod_image, _pi, _poly_mul_int
 
 
 # -- cyclotomic polynomials -------------------------------------------------
@@ -234,6 +234,74 @@ def test_real_sign_rejects_nonreal():
         real_sign(zeta_power(4, 1))
 
 
+# pi to 50 decimals: 10^50 * pi lies in [_PI_50, _PI_50 + 1]
+_PI_50 = 314159265358979323846264338327950288419716939937510
+
+
+@pytest.mark.parametrize("bits", [9, 20, 64, 160])
+def test_pi_and_cosine_enclosures(bits):
+    scale = 1 << bits
+    pi = _pi(scale)
+    assert pi[0] * 10**50 <= scale * (_PI_50 + 1) and pi[1] * 10**50 >= scale * _PI_50
+    # cos(2*pi*k/12) is rational for k in {0, 2, 3, 4, 6}, cos(2*pi*k/8)^2
+    # for odd k
+    for k, c in {0: 1, 2: "1/2", 3: 0, 4: "-1/2", 6: -1}.items():
+        for kk in {k, (12 - k) % 12}:
+            lo, hi = _cos(kk, 12, pi, scale)
+            assert lo <= Fraction(c) * scale <= hi
+            assert hi - lo < 6 * bits + 120  # the width real_sign's precision allows for
+    for k in (1, 3, 5, 7):
+        lo, hi = _cos(k, 8, pi, scale)
+        sign = 1 if k in (1, 7) else -1
+        lo, hi = sorted((sign * lo, sign * hi))
+        assert lo * lo <= scale * scale // 2 <= hi * hi and lo > 0
+
+
+def _sqrt5():
+    return zeta_power(20, 4) - zeta_power(20, 8) - zeta_power(20, 12) + zeta_power(20, 16)
+
+
+_ROOTS = {5: _sqrt5, 2: lambda: zeta_power(8, 1) + zeta_power(8, 7)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(_ROOTS)),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=10**40),
+)
+def test_real_sign_of_p_minus_q_root_d(d, p, q):
+    # p - q*sqrt(d) has the sign of p^2 - d*q^2, which is never 0
+    root = _ROOTS[d]()
+    assert root * root == CycNum.rational(root.conductor, d)
+    value = CycNum.rational(root.conductor, p) - CycNum.rational(root.conductor, q) * root
+    expected = 1 if p * p > d * q * q else -1
+    assert real_sign(value) == expected
+
+
+def test_real_sign_of_zeta_plus_conjugate():
+    # zeta^k + zeta^-k = 2cos(2*pi*k/L), whose sign is read off 4k mod 4L
+    for L in range(1, 61):
+        for k in range(L):
+            r = 4 * k % (4 * L)
+            expected = 0 if r in (L, 3 * L) else (1 if r < L or r > 3 * L else -1)
+            assert real_sign(zeta_power(L, k) + zeta_power(L, -k)) == expected, (L, k)
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_real_sign_of_lucas_minus_fibonacci_root5(n):
+    # L_n - F_n*sqrt5 = 2*psi^n with psi = (1 - sqrt5)/2: its norm
+    # L_n^2 - 5F_n^2 = 4(-1)^n and L_n > 2^130 put it below 2^-128 in
+    # absolute value, beyond a 128-bit enclosure, with the sign of (-1)^n
+    fib = [0, 1]
+    while len(fib) <= n + 1:
+        fib.append(fib[-1] + fib[-2])
+    lucas, f = fib[n - 1] + fib[n + 1], fib[n]
+    assert lucas * lucas - 5 * f * f == 4 * (-1) ** n and lucas > 2**130
+    value = CycNum.rational(20, lucas) - CycNum.rational(20, f) * _sqrt5()
+    assert real_sign(value) == (-1) ** n
+
+
 # -- canonical form & random algebra ---------------------------------------
 
 def _random_cyc(rng, L):
@@ -282,6 +350,13 @@ def test_subtraction_adds_the_negation(a, b):
     assert (a - b) + b == a
 
 
+@settings(max_examples=60, deadline=None)
+@given(_cyc_strategy(60), _cyc_strategy(60))
+def test_real_sign_is_multiplicative(a, b):
+    x, y = a + a.conj(), b + b.conj()
+    assert real_sign(x * y) == real_sign(x) * real_sign(y)
+
+
 @pytest.mark.parametrize("L", [1, 4, 12, 20, 44])
 def test_mod_image_is_a_ring_map(L):
     rng = random.Random(L)
@@ -300,8 +375,9 @@ def test_mod_image_is_a_ring_map(L):
 
 def test_no_mod_image_is_built_at_import():
     code = (
-        "import rotref.cli, rotref.cyclo as c; "
-        "assert not c._MOD_IMAGES, sorted(c._MOD_IMAGES)"
+        "import sys, rotref.cli, rotref.cyclo as c; "
+        "assert not c._MOD_IMAGES, sorted(c._MOD_IMAGES); "
+        "assert 'mpmath' not in sys.modules"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

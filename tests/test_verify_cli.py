@@ -214,6 +214,7 @@ def _zero_denominator(d):
         lambda d: dict(d, generators=[{"rows": 2, "cols": 2}]),
         lambda d: dict(d, ambient=3),
         lambda d: dict(d, ambient=-1, generators=[]),
+        lambda d: dict(d, generators=[{"rows": 0, "cols": 0, "entries": []}]),
     ],
     ids=[
         "no-generators",
@@ -224,6 +225,7 @@ def _zero_denominator(d):
         "generator-without-entries",
         "ambient-mismatch",
         "ambient-negative",
+        "generator-0x0",
     ],
 )
 def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
@@ -308,7 +310,7 @@ def test_cli_lemma_plane_rejects_huge_conductor_at_once():
 
 
 def test_lemma_plane_runs_at_the_conductor_cap():
-    assert verify.LEMMA_PLANE_CONDUCTOR_CAP == 1000
+    assert verify.CONDUCTOR_CAP == 1000
     assert verify_lemma_plane(1000, 1, 0).certificate["samples"] == 1
     with pytest.raises(ValueError):
         verify_lemma_plane(251, 1, 0)  # conductor lcm(4, 251) = 1004
@@ -345,6 +347,31 @@ def test_cli_hostile_group_exits_2(a, b, command, tmp_path):
     path = _diag_group_file(tmp_path / "group.json", a, b)
     args = command[:2] + [str(path)] + command[2:]
     proc = _run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def _entry_conductor_60060(d):
+    d["generators"][0]["entries"][0] = {"conductor": 60060, "coeffs": ["1"]}
+    return d
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: dict(d, conductor=60060),
+        _entry_conductor_60060,
+        lambda d: dict(d, ambient=30000, generators=[]),
+    ],
+    ids=["conductor-60060", "entry-conductor-60060", "ambient-30000"],
+)
+def test_cli_group_above_a_cap_exits_2_at_once(corrupt, tmp_path):
+    # tables for conductor 60060 or a 30000 x 30000 identity would take
+    # minutes or exhaust memory; the caps are checked before either is built
+    path = _diag_group_file(tmp_path / "group.json", 1, -1)
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    proc = _run_cli(["group", "show", str(path)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
