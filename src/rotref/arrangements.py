@@ -4,16 +4,11 @@ plane-geometry checks behind the degree-4 non-containment argument.
 The isotropy arrangement of a finite linear group G collects the joint fixed
 spaces of its nontrivial isotropy (vector-stabilizer) subgroups.  It is
 computed here from the element fixed spaces: those "seed" subspaces are
-closed under intersection into the fixed-space lattice, and a lattice member
-U belongs to the arrangement exactly when the intersection of all seeds
-containing U is U itself (then U = V^H for H the pointwise stabilizer of U,
-and H is the stabilizer of a generic vector of U).
+closed under intersection into the fixed-space lattice, and every lattice
+member belongs to the arrangement (see isotropy_arrangement).
 
-Containment scans between subspaces are accelerated by a one-sided modular
-filter: entries are mapped through a ring homomorphism Z[zeta_L] -> F_p for
-a prime p = 1 (mod L) (cyclo._ModImage), so a nonzero image certifies a
-nonzero exact value and only the (rare) zero images are confirmed with exact
-arithmetic.
+Meets and containments go through rotref.linalg, which owns their modular
+certificates.
 
 All outputs are deterministic: members are canonically sorted by dimension
 and then by their canonical basis; witnesses are chosen by that order.
@@ -29,7 +24,6 @@ from fractions import Fraction
 from rotref.cyclo import (
     ConductorMismatch,
     CycNum,
-    _mod_image,
     is_positive_real,
     real_imag_parts,
     zeta_power,
@@ -42,6 +36,8 @@ from rotref.linalg import (
     subspace_contains,
     subspace_intersect,
     subspace_to_json,
+    _dot,
+    _meet_hyperplane,
 )
 from rotref.groups import (
     DEFAULT_CLOSURE_CAP,
@@ -71,26 +67,6 @@ __all__ = [
     "sample_rational_plane",
     "arrangement_to_json",
 ]
-
-
-# ---------------------------------------------------------------------------
-# one-sided containment filter
-# ---------------------------------------------------------------------------
-
-def _maybe_contained(small: Subspace, big: Subspace) -> bool:
-    """False means 'certainly not contained'; True means 'probably', to be
-    confirmed exactly.  Uses the cached mod-p rows of both subspaces: a
-    nonzero image of annihilator . basis row certifies a nonzero value."""
-    p = _mod_image(small.conductor).p
-    for a in big.mod_annihilator_rows():
-        for b in small.mod_basis_rows():
-            acc = 0
-            for x, y in zip(a, b):
-                if x and y:
-                    acc += x * y
-            if acc % p:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -149,43 +125,6 @@ def _finalize(ambient, L, members, provenance) -> Arrangement:
     return Arrangement(ambient, L, tuple(order), prov)
 
 
-def _dot(a, b) -> CycNum:
-    acc = None
-    for x, y in zip(a, b):
-        if not (x.is_zero() or y.is_zero()):
-            acc = x * y if acc is None else acc + x * y
-    if acc is None:
-        return CycNum.zero(a[0].conductor)
-    return acc
-
-
-def _meet_hyperplane(u: Subspace, ts) -> Subspace:
-    """Intersection of u with the hyperplane {x : normal . x = 0}, given the
-    dots ts[i] = normal . u.basis[i]."""
-    pivot = next((idx for idx, t in enumerate(ts) if not t.is_zero()), None)
-    if pivot is None:
-        return u
-    inv = ts[pivot].inv()
-    prow = u.basis[pivot]
-    rows = []
-    for idx, row in enumerate(u.basis):
-        if idx == pivot:
-            continue
-        f = ts[idx] * inv
-        if f.is_zero():
-            rows.append(list(row))
-        else:
-            rows.append([a - f * b for a, b in zip(row, prow)])
-    return Subspace.from_rows(u.ambient_dim, rows, u.conductor)
-
-
-def _intersect_with(u: Subspace, g: Subspace) -> Subspace:
-    if g.dim == g.ambient_dim - 1:
-        normal = g.annihilator_rows()[0]
-        return _meet_hyperplane(u, [_dot(normal, row) for row in u.basis])
-    return subspace_intersect(u, g)
-
-
 def _reflection_vector(s: MatrixF, normal):
     """The vector v with s.x = x - (normal . x) v, for an s whose fixed space
     is the hyperplane {normal . x = 0}.  Then I - s has rank 1 and that
@@ -221,28 +160,30 @@ def _seed_fixed_spaces(group: MatrixGroup):
 
 
 def _containers_among_seeds(member: Subspace, seeds):
-    """Indices of seeds strictly containing `member` (mod-p filtered, then
-    exactly confirmed)."""
-    out = []
+    """Indices of seeds strictly containing `member`."""
     d = member.dim
-    for idx, (s, _) in enumerate(seeds):
-        if s.dim <= d:
-            continue
-        if not _maybe_contained(member, s):
-            continue
-        if subspace_contains(s, member):
-            out.append(idx)
-    return out
+    return [
+        idx
+        for idx, (s, _) in enumerate(seeds)
+        if s.dim > d and subspace_contains(s, member)
+    ]
 
 
 def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     """The arrangement of fixed spaces of nontrivial isotropy subgroups.
 
-    Algorithm: collect the element fixed spaces, close them under pairwise
-    intersection into the fixed-space lattice, and keep the lattice members
-    that equal the joint fixed space of their pointwise stabilizer.  The
-    provenance of a member lists one fixing element per seed containing it;
-    the common fixed space of those elements is the member itself.
+    Algorithm: collect the element fixed spaces (the seeds) and close them
+    under pairwise intersection into the fixed-space lattice.  Every lattice
+    member is in the arrangement.  A member U is a meet of seeds, so it is
+    the meet of all the seeds Fix(g_i) containing it, each g_i != 1.  Every
+    g_i lies in the pointwise stabilizer G_U, so V^{G_U} is inside the meet
+    of the Fix(g_i), which is U, which is inside V^{G_U}: U = V^{G_U}, with
+    G_U nontrivial.  G_U is the stabilizer of a generic vector of U, so U is
+    an isotropy fixed space; conversely each of those is a meet of element
+    fixed spaces.
+
+    The provenance of a member lists one fixing element per seed containing
+    it; the common fixed space of those elements is the member itself.
     """
     n, L = group.ambient_dim, group.conductor
     seeds = _seed_fixed_spaces(group)
@@ -261,7 +202,7 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
             continue
         acc = None
         for c in cont:
-            acc = seeds[c][0] if acc is None else _intersect_with(acc, seeds[c][0])
+            acc = seeds[c][0] if acc is None else subspace_intersect(acc, seeds[c][0])
             if acc.dim == s.dim:
                 break
         if acc is None or acc.key != s.key:
@@ -280,42 +221,27 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
         u = queue[qi]
         qi += 1
         for g in gens:
-            if (
-                g.dim >= u.dim
-                and _maybe_contained(u, g)
-                and subspace_contains(g, u)
-            ):
+            if subspace_contains(g, u):
                 continue  # u is inside g, nothing new
-            w = _intersect_with(u, g)
+            w = subspace_intersect(u, g)
             if w.key not in members:
                 members[w.key] = w
                 queue.append(w)
 
-    # keep members that are the full fixed space of their stabilizer
+    # a member that is not a seed was made as u meet g with g a seed other
+    # than it, so some seed strictly contains it
     seed_index_by_key = {s.key: i for i, (s, _) in enumerate(seeds)}
-    out = {}
     provenance = {}
     for u in members.values():
         own = seed_index_by_key.get(u.key)
-        containing = []
         if own is not None:
-            containing.append(own)
-            containing.extend(seed_containers[own])
+            containing = [own] + seed_containers[own]
         else:
-            containing.extend(_containers_among_seeds(u, seeds))
-        if not containing:
-            continue  # trivial pointwise stabilizer
-        acc = None
-        for c in containing:
-            acc = seeds[c][0] if acc is None else _intersect_with(acc, seeds[c][0])
-            if acc.key == u.key:
-                break
-        if acc.key == u.key:
-            out[u.key] = u
-            provenance[u.key] = {
-                "fixing_elements": sorted(seeds[c][1] for c in containing)
-            }
-    return _finalize(n, L, out, provenance)
+            containing = _containers_among_seeds(u, seeds)
+        provenance[u.key] = {
+            "fixing_elements": sorted(seeds[c][1] for c in containing)
+        }
+    return _finalize(n, L, members, provenance)
 
 
 def _trace(g: MatrixF) -> CycNum:
@@ -457,19 +383,12 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
 def _hyperplane_provenance(n: int, members) -> tuple:
     """For each of the canonically ordered `members` of a reflection
     arrangement in dimension n, the positions among its hyperplanes of
-    every hyperplane containing it.  A one-sided mod-p filter rules out
-    most pairs; each pass is confirmed exactly, with normal . row = 0 for
-    every basis row of the member."""
+    every hyperplane containing it."""
     hyperplanes = [u for u in members if u.dim == n - 1]
     return tuple(
         {
             "hyperplanes": [
-                idx
-                for idx, h in enumerate(hyperplanes)
-                if _maybe_contained(u, h)
-                and all(
-                    _dot(h.annihilator_rows()[0], row).is_zero() for row in u.basis
-                )
+                idx for idx, h in enumerate(hyperplanes) if subspace_contains(h, u)
             ]
         }
         for u in members

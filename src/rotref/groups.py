@@ -618,7 +618,13 @@ def parse_label(label: str) -> CatalogEntry:
             factors.append((part, None))
     if not factors:
         raise ValueError("empty label")
-    return CatalogEntry(tuple(factors))
+    entry = CatalogEntry(tuple(factors))
+    if entry.conductor_required > CONDUCTOR_CAP:
+        raise ValueError(
+            f"{label} needs conductor {entry.conductor_required}, above the "
+            f"conductor cap {CONDUCTOR_CAP}"
+        )
+    return entry
 
 
 IRREDUCIBLE_LABELS = (
@@ -690,8 +696,9 @@ def _gens_I2(k: int):
 
 
 def _gens_A4():
-    # standard permutation representation of S_5 restricted to the sum-zero
-    # hyperplane, written in an exact orthonormal basis over Q(sqrt 5)
+    # S_5 on the sum-zero hyperplane of Q^5, written in an exact orthonormal
+    # basis B over Q(sqrt 5): the adjacent transposition (t, t+1) is the
+    # reflection in the root e_t - e_{t+1}, whose coordinates are B(e_t - e_{t+1})
     L = 20
     sqrt5 = (
         zeta_power(L, 4) - zeta_power(L, 8) - zeta_power(L, 12) + zeta_power(L, 16)
@@ -710,21 +717,9 @@ def _gens_A4():
         else:
             scale = sqrt5 * CycNum.rational(L, Fraction(1, 10))  # 1/(2 sqrt5)
             basis.append([CycNum.rational(L, v) * scale for v in vec])
-    gens = []
-    for t in range(4):  # adjacent transpositions (t, t+1) of S_5
-        perm = list(range(5))
-        perm[t], perm[t + 1] = perm[t + 1], perm[t]
-        rows = []
-        for bi in basis:
-            row = []
-            for bj in basis:
-                acc = CycNum.zero(L)
-                for kk in range(5):
-                    acc = acc + bi[kk] * bj[perm[kk]]
-                row.append(acc)
-            rows.append(row)
-        gens.append(MatrixF.from_rows(rows))
-    return gens
+    return [
+        _reflection_in_root([b[t] - b[t + 1] for b in basis], L) for t in range(4)
+    ]
 
 
 def _gens_H(rank: int):
@@ -866,15 +861,25 @@ def enumerate_degree4_catalog(k_max: int):
     Factor order inside a label: degree-4 factor alone; degree-3 factor then
     its degree-1 slot; I2 pairs with ascending parameters; degree-1 slots
     with A1 before trivial padding.  The enumeration is deterministic.
+    A k_max whose I2 pairs need a conductor above CONDUCTOR_CAP (k_max >= 17:
+    I2(15)xI2(17) needs 1020) is rejected before any label is built.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    ks = range(2, k_max + 1)
+    for p in ks:
+        for q in ks[p - 2:]:
+            if math.lcm(4, p, q) > CONDUCTOR_CAP:
+                raise ValueError(
+                    f"k_max = {k_max} puts I2({p})xI2({q}) in the catalog, at "
+                    f"conductor {math.lcm(4, p, q)}, above the conductor cap "
+                    f"{CONDUCTOR_CAP}"
+                )
     labels = []
     labels.extend(["A4", "B4", "D4", "F4", "H4"])
     for big in ("A3", "B3", "H3"):
         labels.append(f"{big}xA1")
         labels.append(f"{big}x1")
-    ks = range(2, k_max + 1)
     for p in ks:
         for q in ks:
             if p <= q:

@@ -3,10 +3,16 @@ subspaces.
 
 Matrices carry a single shared positive denominator and integer coefficient
 vectors per entry, normalized so the matrix-wide content is 1; this makes the
-representation canonical and hashable, which the group-closure search relies
-on.  Subspaces are stored as reduced-row-echelon bases with pivots 1 and
-deterministic leftmost-pivot selection, so set equality of subspaces is
-structural equality of their fields.
+representation canonical and hashable.  Subspaces are stored as
+reduced-row-echelon bases with pivots 1 and deterministic leftmost-pivot
+selection, so set equality of subspaces is structural equality of their
+fields.
+
+Rank, meet and containment each have one route, behind a one-sided modular
+certificate: entries are mapped through a ring homomorphism Z[zeta_L] -> F_p
+for a prime p = 1 (mod L) (cyclo._ModImage).  A nonzero image certifies a
+nonzero exact value, and a full rank mod p certifies the exact rank; a zero
+image or a short rank proves nothing, and the exact computation runs.
 
 Everything here is immutable and pure; values can be shared between threads.
 """
@@ -14,13 +20,15 @@ Everything here is immutable and pure; values can be shared between threads.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from rotref.cyclo import (
     ConductorMismatch,
     CycNum,
     cyc_from_json,
     cyc_to_json,
+    _content,
     _mod_image,
     _tables,
 )
@@ -39,17 +47,6 @@ __all__ = [
     "subspace_to_json",
     "subspace_from_json",
 ]
-
-
-def _matrix_content(nums, den):
-    g = den
-    for vec in nums:
-        for v in vec:
-            if v:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return 1
-    return g
 
 
 class MatrixF:
@@ -75,7 +72,7 @@ class MatrixF:
         if den < 0:
             den = -den
             nums = [tuple(-v for v in vec) for vec in nums]
-        g = _matrix_content(nums, den)
+        g = _content(chain.from_iterable(nums), den)
         if g > 1:
             den //= g
             nums = [tuple(v // g for v in vec) for vec in nums]
@@ -446,10 +443,42 @@ def _check_ambient(u: Subspace, v: Subspace):
         raise ConductorMismatch("subspace conductors differ; embed first")
 
 
+def _dot(a, b) -> CycNum:
+    acc = None
+    for x, y in zip(a, b):
+        if not (x.is_zero() or y.is_zero()):
+            acc = x * y if acc is None else acc + x * y
+    if acc is None:
+        return CycNum.zero(a[0].conductor)
+    return acc
+
+
+def _meet_hyperplane(u: Subspace, ts) -> Subspace:
+    """Intersection of u with the hyperplane {x : normal . x = 0}, given the
+    dots ts[i] = normal . u.basis[i]."""
+    pivot = next((idx for idx, t in enumerate(ts) if not t.is_zero()), None)
+    if pivot is None:
+        return u
+    inv = ts[pivot].inv()
+    prow = u.basis[pivot]
+    rows = []
+    for idx, row in enumerate(u.basis):
+        if idx == pivot:
+            continue
+        f = ts[idx] * inv
+        if f.is_zero():
+            rows.append(list(row))
+        else:
+            rows.append([a - f * b for a, b in zip(row, prow)])
+    return Subspace.from_rows(u.ambient_dim, rows, u.conductor)
+
+
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """u meet v.  When dim u + dim v <= n and the stacked bases have full
     rank mod p, that is their exact rank (see _rank), so the meet is 0 and
-    no annihilator or kernel is built."""
+    nothing exact is built.  Otherwise u is cut by the hyperplanes of v's
+    annihilator rows one at a time; v is the common kernel of those rows, so
+    the last cut is exactly u meet v."""
     _check_ambient(u, v)
     if u.is_full():
         return v
@@ -462,9 +491,9 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
         and img.rank(u.mod_basis_rows() + v.mod_basis_rows()) == d
     ):
         return Subspace.zero_space(u.ambient_dim, u.conductor)
-    stacked = list(u.annihilator_rows()) + list(v.annihilator_rows())
-    vecs = _kernel_of_rows([list(r) for r in stacked], u.ambient_dim, u.conductor)
-    return Subspace.from_rows(u.ambient_dim, vecs, u.conductor)
+    for normal in v.annihilator_rows():
+        u = _meet_hyperplane(u, [_dot(normal, row) for row in u.basis])
+    return u
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -475,10 +504,20 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_contains(u: Subspace, v: Subspace) -> bool:
-    """Whether u contains v as a set."""
+    """Whether u contains v as a set: whether a . b = 0 for every
+    annihilator row a of u and basis row b of v.  The dots are first taken
+    mod p, from the cached rows cleared of denominators; a nonzero image
+    certifies a nonzero dot, so v is not in u.  When every image is zero,
+    each row of v is reduced exactly against u's basis."""
     _check_ambient(u, v)
     if v.dim > u.dim:
         return False
+    p = _mod_image(u.conductor).p
+    rows = v.mod_basis_rows()
+    for a in u.mod_annihilator_rows():
+        for b in rows:
+            if sum(map(mul, a, b)) % p:
+                return False
     return all(u.contains_vector(row) for row in v.basis)
 
 
@@ -489,10 +528,7 @@ def _rank(rows, mod_rows=None) -> int:
     (mod_rows, when the caller has them; cyclo._ModImage.row otherwise).
     Each minor of the image is the image of the same minor, so the rank mod
     p is at most the exact rank, and when it equals min(rows, cols) it is
-    the exact rank.  Otherwise the rank comes from fraction-free
-    elimination, row_r <- p * row_r - f * row_pivot: no inverse, no
-    canonical form, and only zero tests on the entries."""
-    rows = [list(r) for r in rows]
+    the exact rank.  Otherwise the rank is that of the exact RREF."""
     if rows and rows[0]:
         img = _mod_image(rows[0][0].conductor)
         if mod_rows is None:
@@ -500,28 +536,7 @@ def _rank(rows, mod_rows=None) -> int:
         rank = img.rank(mod_rows)
         if rank == min(len(rows), len(rows[0])):
             return rank
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        sel = next(
-            (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None
-        )
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        rank += 1
-        for r in range(rank, len(rows)):
-            f = rows[r][col]
-            if f.is_zero():
-                continue
-            if p.is_one():
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-            else:
-                rows[r] = [p * a - f * b for a, b in zip(rows[r], prow)]
-        if rank == len(rows):
-            break
-    return rank
+    return len(_rref(rows)[0])
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

@@ -46,7 +46,6 @@ from rotref.groups import (
     BIG_FACTOR_LABELS,
     MatrixGroup,
     catalog_group,
-    direct_sum,
     enumerate_degree4_catalog,
     is_rotation_group,
     parse_label,
@@ -307,7 +306,7 @@ def verify_dichotomy(p: int, q: int) -> VerificationReport:
     key = (p, q)
     cached = _DICHOTOMY_CACHE.get(key)
     if cached is None:
-        w = direct_sum(catalog_group(f"I2({p})"), catalog_group(f"I2({q})"))
+        w = catalog_group(f"I2({p})xI2({q})")
         cached = structural_dichotomy_check(w)
         _DICHOTOMY_CACHE[key] = cached
     ok, report, arr = cached

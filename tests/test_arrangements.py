@@ -14,6 +14,7 @@ from rotref.linalg import (
     meets_nontrivially,
     subspace_contains,
     subspace_intersect,
+    _dot,
 )
 from rotref.groups import (
     BIG_FACTOR_LABELS,
@@ -44,7 +45,7 @@ from rotref.arrangements import (
     wreath_plane_list,
     zeta_plane,
 )
-from rotref.arrangements import _dot, _reflection_vector
+from rotref.arrangements import _reflection_vector
 
 
 # -- joint fixed spaces ----------------------------------------------------------
@@ -128,6 +129,24 @@ def test_a1_arrangement_is_origin():
 def test_isotropy_provenance_witnesses():
     g = realified_gmpn_group(3)
     arr = isotropy_arrangement(g)
+    for s, prov in zip(arr.subspaces, arr.provenance):
+        assert _joint_fixed_space(g, prov["fixing_elements"]) == s
+
+
+def test_isotropy_keeps_a_meet_that_is_no_seed():
+    # the Klein four-group of diagonal sign changes with determinant 1: its
+    # three involutions fix the three axes, and the origin is only their meet
+    def diag(*signs):
+        return MatrixF.from_rows(
+            [[CycNum.rational(4, s if i == j else 0) for j in range(3)]
+             for i, s in enumerate(signs)]
+        )
+
+    g = closure([diag(1, -1, -1), diag(-1, 1, -1)])
+    arr = isotropy_arrangement(g)
+    assert arr.dim_counts() == {0: 1, 1: 3}
+    assert arr.subspaces[0].is_zero()
+    assert arr.provenance[0] == {"fixing_elements": [1, 2, 3]}
     for s, prov in zip(arr.subspaces, arr.provenance):
         assert _joint_fixed_space(g, prov["fixing_elements"]) == s
 

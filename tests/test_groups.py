@@ -333,6 +333,15 @@ def test_label_degree_and_conductor():
     assert parse_label("B3x1").degree == 4
 
 
+def test_label_conductor_is_capped():
+    assert parse_label("I2(250)").conductor_required == 500
+    assert parse_label("I2(125)xI2(8)").conductor_required == 1000
+    with pytest.raises(ValueError, match="1004"):
+        parse_label("I2(251)")
+    with pytest.raises(ValueError, match="124500"):
+        parse_label("I2(250)xI2(249)")
+
+
 def test_unknown_label_rejected():
     with pytest.raises(ValueError):
         parse_label("E8")
@@ -346,6 +355,14 @@ def test_big_factor_flags():
 
 
 # -- degree-4 enumeration -----------------------------------------------------------
+
+def test_enumeration_stays_inside_the_conductor_cap():
+    # k_max = 17 would bring in I2(15)xI2(17), at conductor 1020
+    assert max(g.conductor for g in enumerate_degree4_catalog(16)) <= 1000
+    for k_max in (17, 2000):
+        with pytest.raises(ValueError, match="above the conductor cap"):
+            enumerate_degree4_catalog(k_max)
+
 
 def test_enumeration_kmax2_contains_a1_fourth():
     groups = enumerate_degree4_catalog(2)

@@ -275,6 +275,45 @@ def test_intersection_dim_matches_intersect(shared, own_u, own_v):
     assert meets_nontrivially(u, v) == (d >= 1)
 
 
+def _stacked_annihilator_meet(u, v):
+    # the kernel of u's and v's annihilator rows stacked: an independent
+    # route to u meet v, kept as the reference for subspace_intersect
+    rows = [list(r) for r in u.annihilator_rows() + v.annihilator_rows()]
+    return kernel(MatrixF.from_rows(rows)) if rows else Subspace.full(4, 12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rows12, _rows12, _rows12)
+def test_intersect_matches_stacked_annihilator_kernel(shared, own_u, own_v):
+    u = Subspace.from_rows(4, (shared + own_u)[:4], 12)
+    v = Subspace.from_rows(4, (shared + own_v)[-4:], 12)
+    meet = _stacked_annihilator_meet(u, v)
+    assert subspace_intersect(u, v) == meet
+    assert subspace_intersect(v, u) == meet
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows12, _rows12, st.lists(st.integers(-2, 2), min_size=16, max_size=16))
+def test_contains_matches_row_reduction(rows_u, rows_v, coeffs):
+    # v is either unrelated to u or spanned by combinations of u's own rows,
+    # so that nested pairs, which pass the mod-p filter, are common
+    u = Subspace.from_rows(4, rows_u, 12)
+
+    def combination(i):
+        cs = [rat(12, c) for c in coeffs[4 * i : 4 * i + 4]]
+        return [
+            sum((c * row[j] for c, row in zip(cs, u.basis)), rat(12, 0))
+            for j in range(4)
+        ]
+
+    nested = [combination(i) for i in range(u.dim)]
+    for v_rows in (rows_v, nested, nested[:1]):
+        v = Subspace.from_rows(4, v_rows, 12)
+        joint = Subspace.from_rows(4, list(u.basis) + list(v.basis), 12).dim
+        assert subspace_contains(u, v) == (joint == u.dim)
+        assert subspace_contains(v, u) == (joint == v.dim)
+
+
 def test_fraction_free_rank_matches_rref():
     # unstructured stacks, zero and repeated rows included, need row swaps
     rng = random.Random(5)
@@ -317,6 +356,10 @@ def test_meet_certificate_is_one_sided():
     assert subspace_intersect(u, v).is_zero()
     assert intersection_dim(u, v) == 0
     assert not meets_nontrivially(u, v)
+    # the annihilator (0, 1) of u meets (1, p) in p = 0 mod p, so the
+    # containment filter passes and only the exact check refutes it
+    assert not subspace_contains(u, v)
+    assert not subspace_contains(v, u)
     # a rank short of full proves nothing: the meet is built exactly
     assert subspace_intersect(u, u) == u
     # p in a denominator: (1, 1/p) is cleared to (p, 1) = (0, 1) mod p

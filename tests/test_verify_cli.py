@@ -309,6 +309,28 @@ def test_cli_lemma_plane_rejects_huge_conductor_at_once():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dichotomy", "--p", "3000", "--q", "3"],
+        ["dichotomy", "--p", "250", "--q", "249"],
+        ["group", "show", "I2(5001)"],
+        ["arrangement", "compute", "I2(3001)xA1xA1"],
+        ["catalog", "list", "--k-max", "2000"],
+        ["catalog", "list", "--k-max", "17"],
+    ],
+    ids=["dichotomy-3000", "dichotomy-250-249", "group-show", "arrangement",
+         "catalog-2000", "catalog-17"],
+)
+def test_cli_catalog_label_above_the_conductor_cap_exits_2(args):
+    # all but catalog-17 would build tables for a conductor far above the
+    # cap and run past the timeout; the cap is checked before any is built
+    proc = _run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_lemma_plane_runs_at_the_conductor_cap():
     assert verify.CONDUCTOR_CAP == 1000
     assert verify_lemma_plane(1000, 1, 0).certificate["samples"] == 1
