@@ -4,8 +4,11 @@ plane-geometry checks behind the degree-4 non-containment argument.
 The isotropy arrangement of a finite linear group G collects the joint fixed
 spaces of its nontrivial isotropy (vector-stabilizer) subgroups.  It is
 computed here from the element fixed spaces: those "seed" subspaces are
-closed under intersection into the fixed-space lattice, and every lattice
-member belongs to the arrangement (see isotropy_arrangement).
+closed under intersection into the fixed-space lattice, one seed at a time,
+and every lattice member belongs to the arrangement (see
+isotropy_arrangement).  The provenance of either kind of arrangement is
+built the first time it is read, from which listed spaces (seeds or
+hyperplanes) contain each member.
 
 Meets and containments go through rotref.linalg, which owns their modular
 certificates.
@@ -119,12 +122,6 @@ class Arrangement:
         )
 
 
-def _finalize(ambient, L, members, provenance) -> Arrangement:
-    order = sorted(members.values(), key=lambda s: s.sort_key())
-    prov = tuple(provenance.get(s.key) for s in order)
-    return Arrangement(ambient, L, tuple(order), prov)
-
-
 def _reflection_vector(s: MatrixF, normal):
     """The vector v with s.x = x - (normal . x) v, for an s whose fixed space
     is the hyperplane {normal . x = 0}.  Then I - s has rank 1 and that
@@ -147,25 +144,26 @@ def _seed_fixed_spaces(group: MatrixGroup):
     the zero seed, with neither its exact matrix nor a kernel built."""
     n, L = group.ambient_dim, group.conductor
     seeds = []
-    by_key = {}
+    seen = set()
     elems = group.elements
     for i, d in enumerate(group.fixed_dims()):
         if i == 0:
             continue
         fs = fixed_space(elems[i]) if d else Subspace.zero_space(n, L)
-        if fs.key not in by_key:
-            by_key[fs.key] = len(seeds)
+        if fs.key not in seen:
+            seen.add(fs.key)
             seeds.append((fs, i))
     return seeds
 
 
-def _containers_among_seeds(member: Subspace, seeds):
-    """Indices of seeds strictly containing `member`."""
-    d = member.dim
+def _containing(spaces, u) -> list:
+    """Positions in `spaces` of the spaces containing u.  A space of u's
+    dimension contains u only when it equals u."""
+    d = u.dim
     return [
-        idx
-        for idx, (s, _) in enumerate(seeds)
-        if s.dim > d and subspace_contains(s, member)
+        i
+        for i, s in enumerate(spaces)
+        if (s.dim > d and subspace_contains(s, u)) or (s.dim == d and s.key == u.key)
     ]
 
 
@@ -173,75 +171,50 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     """The arrangement of fixed spaces of nontrivial isotropy subgroups.
 
     Algorithm: collect the element fixed spaces (the seeds) and close them
-    under pairwise intersection into the fixed-space lattice.  Every lattice
-    member is in the arrangement.  A member U is a meet of seeds, so it is
-    the meet of all the seeds Fix(g_i) containing it, each g_i != 1.  Every
-    g_i lies in the pointwise stabilizer G_U, so V^{G_U} is inside the meet
-    of the Fix(g_i), which is U, which is inside V^{G_U}: U = V^{G_U}, with
-    G_U nontrivial.  G_U is the stabilizer of a generic vector of U, so U is
-    an isotropy fixed space; conversely each of those is a meet of element
+    under intersection into the fixed-space lattice.  Every lattice member
+    is in the arrangement.  A member U is a meet of seeds, so it is the meet
+    of all the seeds Fix(g_i) containing it, each g_i != 1.  Every g_i lies
+    in the pointwise stabilizer G_U, so V^{G_U} is inside the meet of the
+    Fix(g_i), which is U, which is inside V^{G_U}: U = V^{G_U}, with G_U
+    nontrivial.  G_U is the stabilizer of a generic vector of U, so U is an
+    isotropy fixed space; conversely each of those is a meet of element
     fixed spaces.
 
+    The closure adds one seed at a time.  If M is closed under meets, so is
+    M + {s} + {s meet u : u in M}, since (s meet u) meet v = s meet (u meet
+    v).  A seed already in M adds nothing, and s meet u = u when s contains
+    u.  Seeds are taken in order of decreasing dimension, so most of the
+    smaller ones are already meets of larger ones when their turn comes.
+
     The provenance of a member lists one fixing element per seed containing
-    it; the common fixed space of those elements is the member itself.
+    it; the common fixed space of those elements is the member itself.  It
+    is built the first time `provenance` is read (_seed_provenance).
     """
     n, L = group.ambient_dim, group.conductor
     seeds = _seed_fixed_spaces(group)
-    if not seeds:
-        return Arrangement(n, L, (), ())
-
-    # generator reduction: a seed is redundant for closure generation when it
-    # equals the intersection of the seeds strictly containing it
-    seed_containers = []
-    gens = []
-    for s, _ in seeds:
-        cont = _containers_among_seeds(s, seeds)
-        seed_containers.append(cont)
-        if not cont:
-            gens.append(s)
-            continue
-        acc = None
-        for c in cont:
-            acc = seeds[c][0] if acc is None else subspace_intersect(acc, seeds[c][0])
-            if acc.dim == s.dim:
-                break
-        if acc is None or acc.key != s.key:
-            gens.append(s)
-
-    # lattice closure: any iterated intersection of seeds is an intersection
-    # of irreducible seeds, so closing against `gens` suffices
     members = {}
-    queue = []
-    for s, _ in seeds:
-        if s.key not in members:
-            members[s.key] = s
-            queue.append(s)
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for g in gens:
-            if subspace_contains(g, u):
-                continue  # u is inside g, nothing new
-            w = subspace_intersect(u, g)
-            if w.key not in members:
-                members[w.key] = w
-                queue.append(w)
+    for s, _ in sorted(seeds, key=lambda seed: -seed[0].dim):
+        if s.key in members:
+            continue
+        meets = [s] + [
+            subspace_intersect(s, u)
+            for u in members.values()
+            if not subspace_contains(s, u)
+        ]
+        for w in meets:
+            members.setdefault(w.key, w)
+    order = tuple(sorted(members.values(), key=lambda u: u.sort_key()))
+    return Arrangement(n, L, order, lambda: _seed_provenance(seeds, order))
 
-    # a member that is not a seed was made as u meet g with g a seed other
-    # than it, so some seed strictly contains it
-    seed_index_by_key = {s.key: i for i, (s, _) in enumerate(seeds)}
-    provenance = {}
-    for u in members.values():
-        own = seed_index_by_key.get(u.key)
-        if own is not None:
-            containing = [own] + seed_containers[own]
-        else:
-            containing = _containers_among_seeds(u, seeds)
-        provenance[u.key] = {
-            "fixing_elements": sorted(seeds[c][1] for c in containing)
-        }
-    return _finalize(n, L, members, provenance)
+
+def _seed_provenance(seeds, members) -> tuple:
+    """For each of `members`, the fixing element of every seed containing
+    it, in increasing element order."""
+    spaces = [s for s, _ in seeds]
+    return tuple(
+        {"fixing_elements": sorted(seeds[i][1] for i in _containing(spaces, u))}
+        for u in members
+    )
 
 
 def _trace(g: MatrixF) -> CycNum:
@@ -385,14 +358,7 @@ def _hyperplane_provenance(n: int, members) -> tuple:
     arrangement in dimension n, the positions among its hyperplanes of
     every hyperplane containing it."""
     hyperplanes = [u for u in members if u.dim == n - 1]
-    return tuple(
-        {
-            "hyperplanes": [
-                idx for idx, h in enumerate(hyperplanes) if subspace_contains(h, u)
-            ]
-        }
-        for u in members
-    )
+    return tuple({"hyperplanes": _containing(hyperplanes, u)} for u in members)
 
 
 def arrangement_contains(big: Arrangement, small: Arrangement):

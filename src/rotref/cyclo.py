@@ -34,6 +34,7 @@ __all__ = [
     "is_positive_real",
     "rational_to_json",
     "rational_from_json",
+    "int_from_json",
     "cyc_to_json",
     "cyc_from_json",
     "ConductorMismatch",
@@ -649,7 +650,18 @@ def rational_to_json(f) -> str:
 
 
 def rational_from_json(s: str) -> Fraction:
+    """A rational written as a "p/q" string; a JSON number is a TypeError,
+    as a float would bring a binary double into exact input."""
+    if not isinstance(s, str):
+        raise TypeError(f'a rational must be a "p/q" string, not {s!r}')
     return Fraction(s)
+
+
+def int_from_json(v) -> int:
+    """A JSON integer; a float, a string or a boolean is a TypeError."""
+    if type(v) is not int:
+        raise TypeError(f"expected a JSON integer, not {v!r}")
+    return v
 
 
 def cyc_to_json(a: CycNum) -> dict:
@@ -660,7 +672,7 @@ def cyc_to_json(a: CycNum) -> dict:
 
 
 def cyc_from_json(d: dict) -> CycNum:
-    L = int(d["conductor"])
+    L = int_from_json(d["conductor"])
     if L > CONDUCTOR_CAP:
         raise ValueError(f"conductor {L} is above the cap {CONDUCTOR_CAP}")
     try:

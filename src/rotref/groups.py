@@ -32,6 +32,7 @@ from rotref.cyclo import (
     ConductorMismatch,
     CycNum,
     _mod_image,
+    int_from_json,
     real_imag_parts,
     zeta_power,
 )
@@ -142,9 +143,6 @@ class MatrixGroup:
         """The ElementClass of every element, in element order."""
         n = self.ambient_dim
         return tuple(ElementClass.of_codim(n - d) for d in self.fixed_dims())
-
-    def __contains__(self, m: MatrixF) -> bool:
-        return m.key in self.element_keys()
 
     def __repr__(self):
         populated = self._elements is not None
@@ -909,8 +907,8 @@ def group_from_json(d: dict) -> MatrixGroup:
     """Parse a group file; a missing key, a value of the wrong JSON type or an
     ambient or conductor above its cap (checked first) raises ValueError."""
     try:
-        L = int(d["conductor"])
-        n = int(d["ambient"])
+        L = int_from_json(d["conductor"])
+        n = int_from_json(d["ambient"])
         if not (1 <= n <= AMBIENT_CAP and L <= CONDUCTOR_CAP):
             raise ValueError(f"JSON group needs 1 <= ambient <= {AMBIENT_CAP} and "
                              f"conductor <= {CONDUCTOR_CAP}, not {n} and {L}")

@@ -28,6 +28,7 @@ from rotref.cyclo import (
     CycNum,
     cyc_from_json,
     cyc_to_json,
+    int_from_json,
     _content,
     _mod_image,
     _tables,
@@ -567,7 +568,9 @@ def matrix_to_json(m: MatrixF) -> dict:
 
 def matrix_from_json(d: dict) -> MatrixF:
     entries = [cyc_from_json(e) for e in d["entries"]]
-    return MatrixF.from_entries(int(d["rows"]), int(d["cols"]), entries)
+    return MatrixF.from_entries(
+        int_from_json(d["rows"]), int_from_json(d["cols"]), entries
+    )
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -579,4 +582,4 @@ def subspace_to_json(s: Subspace) -> dict:
 
 def subspace_from_json(d: dict, conductor: int | None = None) -> Subspace:
     rows = [[cyc_from_json(e) for e in row] for row in d["basis"]]
-    return Subspace.from_rows(int(d["ambient"]), rows, conductor)
+    return Subspace.from_rows(int_from_json(d["ambient"]), rows, conductor)

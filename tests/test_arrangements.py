@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotref import arrangements, verify
 from rotref.cyclo import CycNum, zeta_power
 from rotref.cli import main
 from rotref.linalg import (
@@ -133,22 +134,115 @@ def test_isotropy_provenance_witnesses():
         assert _joint_fixed_space(g, prov["fixing_elements"]) == s
 
 
-def test_isotropy_keeps_a_meet_that_is_no_seed():
-    # the Klein four-group of diagonal sign changes with determinant 1: its
-    # three involutions fix the three axes, and the origin is only their meet
+def _klein_four_group():
+    # diagonal sign changes with determinant 1 in Q^3
     def diag(*signs):
         return MatrixF.from_rows(
             [[CycNum.rational(4, s if i == j else 0) for j in range(3)]
              for i, s in enumerate(signs)]
         )
 
-    g = closure([diag(1, -1, -1), diag(-1, 1, -1)])
+    return closure([diag(1, -1, -1), diag(-1, 1, -1)])
+
+
+def test_isotropy_keeps_a_meet_that_is_no_seed():
+    # the Klein four-group of diagonal sign changes with determinant 1: its
+    # three involutions fix the three axes, and the origin is only their meet
+    g = _klein_four_group()
     arr = isotropy_arrangement(g)
     assert arr.dim_counts() == {0: 1, 1: 3}
     assert arr.subspaces[0].is_zero()
     assert arr.provenance[0] == {"fixing_elements": [1, 2, 3]}
     for s, prov in zip(arr.subspaces, arr.provenance):
         assert _joint_fixed_space(g, prov["fixing_elements"]) == s
+
+
+def _b3_rotation_subgroup():
+    s1, s2, s3 = catalog_group("B3").generators
+    grp = closure([s1 @ s2, s2 @ s3])
+    assert grp.order == 24
+    return grp
+
+
+def _naive_isotropy(group):
+    """The element fixed spaces closed under pairwise meets by a plain
+    fixpoint, and for each member the first fixing element of every
+    distinct seed containing it."""
+    first = {}
+    for i, g in enumerate(group.elements):
+        if not g.is_identity():
+            fs = fixed_space(g)
+            first.setdefault(fs.key, (fs, i))
+    members = {k: s for k, (s, _) in first.items()}
+    while True:
+        new = {}
+        for u in members.values():
+            for v in members.values():
+                w = subspace_intersect(u, v)
+                if w.key not in members:
+                    new[w.key] = w
+        if not new:
+            break
+        members.update(new)
+    return {
+        k: sorted(i for s, i in first.values() if subspace_contains(s, u))
+        for k, u in members.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "make, origin_is_seed",
+    [(_klein_four_group, False), (_b3_rotation_subgroup, False)]
+    + [(lambda m=m: realified_gmpn_group(m), True) for m in range(2, 7)],
+    ids=["klein-four", "B3-rotations"] + [f"G({m},1,2)" for m in range(2, 7)],
+)
+def test_isotropy_matches_naive_meet_fixpoint(make, origin_is_seed):
+    group = make()
+    arr = isotropy_arrangement(group)
+    got = {s.key: p["fixing_elements"] for s, p in zip(arr.subspaces, arr.provenance)}
+    assert got == _naive_isotropy(group)
+    origin = Subspace.zero_space(group.ambient_dim, group.conductor).key
+    seeds = {fixed_space(g).key for g in group.elements if not g.is_identity()}
+    assert origin in got and (origin in seeds) == origin_is_seed
+
+
+def test_isotropy_closure_counts_on_f4(monkeypatch):
+    # one seed at a time, largest first: 2075 meets on F4, where a closure
+    # of every member against every generating seed made 5940
+    group = catalog_group("F4")
+    group.ensure_elements()
+    counts = {"subspace_intersect": 0, "subspace_contains": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(arrangements, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(arrangements, name, counted)
+    arr = isotropy_arrangement(group)
+    assert arr.dim_counts() == {0: 1, 1: 120, 2: 122, 3: 24}
+    assert counts["subspace_intersect"] <= 2100
+    # one containment test per meet tried: no provenance scan yet
+    assert callable(arr._provenance)
+    assert counts["subspace_contains"] <= 2500
+    arr.provenance
+    assert counts["subspace_contains"] > 2500
+
+
+def test_isotropy_provenance_built_on_read():
+    g = group_from_json(group_to_json(catalog_group("B3")))
+    arr = isotropy_arrangement(g)
+    embedded = arr.embed(4 * arr.conductor)
+    assert callable(arr._provenance) and callable(embedded._provenance)
+    prov = embedded.provenance
+    assert len(prov) == arr.size and not callable(arr._provenance)
+    assert arr.provenance is prov
+
+
+def test_lemma_ag_leaves_wreath_provenance_unbuilt(monkeypatch):
+    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
+    assert main(["lemma-ag", "--m", "5"]) == 0
+    arr = verify._WREATH_ARR_CACHE[5]
+    assert callable(arr._provenance)
 
 
 # -- reflection arrangement -------------------------------------------------------

@@ -17,6 +17,7 @@ from rotref.cyclo import (
     cyclotomic_polynomial,
     embed,
     euler_phi,
+    int_from_json,
     is_positive_real,
     real_imag_parts,
     real_sign,
@@ -411,3 +412,23 @@ def test_json_roundtrip():
 def test_json_rejects_bad_length():
     with pytest.raises(ValueError):
         cyc_from_json({"conductor": 4, "coeffs": ["1/1"]})
+
+
+@pytest.mark.parametrize("value", [True, False, 4.0, 4.7, "4", None])
+def test_json_integer_is_an_int_only(value):
+    with pytest.raises(TypeError):
+        int_from_json(value)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"conductor": 4, "coeffs": [1.0, "0/1"]},
+        {"conductor": 4, "coeffs": [1, 0]},
+        {"conductor": True, "coeffs": ["1/1"]},
+        {"conductor": 4.0, "coeffs": ["1/1", "0/1"]},
+    ],
+)
+def test_json_rejects_numbers_where_exact_text_is_due(d):
+    with pytest.raises(TypeError):
+        cyc_from_json(d)

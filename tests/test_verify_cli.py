@@ -203,6 +203,30 @@ def _zero_denominator(d):
     return d
 
 
+def _set_generator(key, value):
+    def corrupt(d):
+        d["generators"][0][key] = value
+        return d
+    return corrupt
+
+
+def _set_entry(key, value):
+    def corrupt(d):
+        d["generators"][0]["entries"][0][key] = value
+        return d
+    return corrupt
+
+
+def _sign_group(ambient=1, rows=1, cols=1):
+    # {+1, -1} on Q^1, with a boolean for one integer field: True == 1, so
+    # only the JSON type tells it apart from the valid file
+    def corrupt(d):
+        minus_one = {"conductor": 4, "coeffs": ["-1/1", "0/1"]}
+        gen = {"rows": rows, "cols": cols, "entries": [minus_one]}
+        return dict(d, ambient=ambient, generators=[gen])
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -215,6 +239,16 @@ def _zero_denominator(d):
         lambda d: dict(d, ambient=3),
         lambda d: dict(d, ambient=-1, generators=[]),
         lambda d: dict(d, generators=[{"rows": 0, "cols": 0, "entries": []}]),
+        lambda d: dict(d, conductor=4.7),
+        lambda d: dict(d, ambient=2.9),
+        lambda d: dict(d, conductor=4.0),
+        _sign_group(ambient=True),
+        lambda d: dict(d, conductor="4"),
+        _set_generator("rows", 2.5),
+        _sign_group(cols=True),
+        _set_entry("conductor", 4.0),
+        _set_entry("coeffs", [1.0, "0/1"]),
+        _set_entry("coeffs", [1, 0]),
     ],
     ids=[
         "no-generators",
@@ -226,6 +260,16 @@ def _zero_denominator(d):
         "ambient-mismatch",
         "ambient-negative",
         "generator-0x0",
+        "conductor-float",
+        "ambient-float",
+        "conductor-integral-float",
+        "ambient-bool",
+        "conductor-string",
+        "rows-float",
+        "cols-bool",
+        "entry-conductor-float",
+        "coefficient-float",
+        "coefficients-integers",
     ],
 )
 def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
