@@ -5,7 +5,8 @@ factor of degree 3 or 4; computing their arrangements gives a hard ceiling
 on how many planes such an arrangement can hold (H4 dominates with 722).
 The wreath arrangement has m+2 planes, so any m >= 721 beats every one of
 them by counting alone, in every position.  Groups with all factors of
-degree <= 2 are excluded structurally instead, for every m >= 3.
+degree <= 2 are excluded structurally instead, for every m >= 3, by a proof
+from two lemmas that the certificate names (see verify.verify_theorem).
 
 The small even cases are genuinely different: for m in {2, 4} the realified
 wreath group consists of signed permutation matrices, and its arrangement
@@ -34,7 +35,8 @@ cert = rep.certificate
 print(f"  part (i)   {cert['part_i_direct']['checked_groups']} standard positions, "
       f"pass={cert['part_i_direct']['pass']}")
 print(f"  part (ii)  {cert['part_ii_counting']['inequality']}")
-print(f"  part (iii) pass={cert['part_iii_structural']['pass']}")
+print(f"  part (iii) {cert['part_iii_structural']['route']}, "
+      f"pass={cert['part_iii_structural']['pass']}")
 print(f"  verdict: {rep.verdict}")
 
 print("\nthe small-m survey (standard positions):")

@@ -35,7 +35,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from rotref.cyclo import CONDUCTOR_CAP, euler_phi
+from rotref.cyclo import CONDUCTOR_CAP
 from rotref.linalg import (
     Subspace,
     intersection_dim,
@@ -44,11 +44,9 @@ from rotref.linalg import (
 )
 from rotref.groups import (
     BIG_FACTOR_LABELS,
-    MatrixGroup,
     catalog_group,
     enumerate_degree4_catalog,
     is_rotation_group,
-    parse_label,
     realified_gmpn_group,
 )
 from rotref.arrangements import (
@@ -57,7 +55,6 @@ from rotref.arrangements import (
     coordinate_plane_x0,
     coordinate_plane_y0,
     isotropy_arrangement,
-    plane_meet_count,
     reflection_arrangement,
     sample_rational_plane,
     structural_dichotomy_check,
@@ -139,8 +136,6 @@ def _report(claim_id, parameters, verdict, certificate, t0) -> VerificationRepor
 
 _WREATH_ARR_CACHE: dict[int, Arrangement] = {}
 _CATALOG_ARR_CACHE: dict[str, Arrangement] = {}
-_DICHOTOMY_CACHE: dict[tuple[int, int], tuple] = {}
-_THRESHOLD_CACHE: list = []
 
 
 def wreath_arrangement(m: int) -> Arrangement:
@@ -303,13 +298,7 @@ def verify_dichotomy(p: int, q: int) -> VerificationReport:
     if p < 2 or q < 2:
         raise ValueError("p, q must be >= 2")
     t0 = time.perf_counter()
-    key = (p, q)
-    cached = _DICHOTOMY_CACHE.get(key)
-    if cached is None:
-        w = catalog_group(f"I2({p})xI2({q})")
-        cached = structural_dichotomy_check(w)
-        _DICHOTOMY_CACHE[key] = cached
-    ok, report, arr = cached
+    ok, report, _ = structural_dichotomy_check(catalog_group(f"I2({p})xI2({q})"))
     tally = {}
     for r in report:
         tally[r] = tally.get(r, 0) + 1
@@ -352,8 +341,6 @@ def compute_threshold(jobs: int = 1) -> ThresholdResult:
     The wreath arrangement has m+2 planes and m+3 members (m >= 2), both
     invariant under orthogonal change of basis, so the derived m bounds
     apply to every position of a big-factor group."""
-    if _THRESHOLD_CACHE:
-        return _THRESHOLD_CACHE[0]
 
     def counts_for(label):
         arr = catalog_arrangement(label)
@@ -372,7 +359,6 @@ def compute_threshold(jobs: int = 1) -> ThresholdResult:
         m0_total=max(2, max_total - 2),    # least m with m+3 > max_total
         per_group=per_group,
     )
-    _THRESHOLD_CACHE.append(result)
     return result
 
 
@@ -391,15 +377,15 @@ def verify_threshold(jobs: int = 1) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _real_cos_in_field(m: int, N: int) -> bool:
-    """Whether Re(zeta_m) lies in Q(zeta_N), decided arithmetically.
+    """Whether cos(2 pi/m) = Re(zeta_m) lies in Q(zeta_N), decided with
+    integers only.
 
-    For phi(m) <= 2 the cosine is rational.  Otherwise Q(Re zeta_m) is the
-    maximal real subfield of Q(zeta_m), of degree phi(m)/2 > 1, and it lies
-    in Q(zeta_N) iff Q(zeta_gcd(m,N)) equals the whole Q(zeta_m), i.e. iff
-    m | N, or m = 2 mod 4 with m/2 | N."""
-    if euler_phi(m) <= 2:
-        return True
-    if N % m == 0:
+    phi(m) <= 2 exactly when m is 1, 2, 3, 4 or 6, and then the cosine is
+    rational.  Otherwise Q(cos 2pi/m) is real, of degree phi(m)/2 > 1 and
+    index 2 in Q(zeta_m).  Q(zeta_N) meets Q(zeta_m) in Q(zeta_gcd(m,N)),
+    which is Q or not real, so it contains the cosine iff it is the whole
+    Q(zeta_m), i.e. iff m | N, or m = 2 mod 4 with m/2 | N."""
+    if m in (1, 2, 3, 4, 6) or N % m == 0:
         return True
     return m % 4 == 2 and N % (m // 2) == 0
 
@@ -415,9 +401,11 @@ def _witness_against(label: str, m: int):
             "witness_plane": f"y = zeta_{m} x",
             "justification": "field-obstruction",
             "detail": (
-                f"canonical basis entries of the plane involve Re(zeta_{m}), "
-                f"which generates a degree-{euler_phi(m) // 2} real field not "
-                f"inside Q(zeta_{N}) since gcd({m},{N})={math.gcd(m, N)}"
+                f"canonical basis entries of the plane involve Re(zeta_{m}); "
+                f"Q(cos 2pi/{m}) is real, not Q, and of index 2 in "
+                f"Q(zeta_{m}), while Q(zeta_{N}) meets Q(zeta_{m}) in "
+                f"Q(zeta_gcd({m},{N})) = Q(zeta_{math.gcd(m, N)}), a proper "
+                f"subfield that is Q or not real"
             ),
         }
     # the wreath planes are expressible over lcm(4, m, N); compare directly
@@ -449,10 +437,32 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
     Part (i): direct non-containment against every standard-position catalog
     group with I2(k), k <= k_max.  Part (ii): the counting certificate,
     applicable when m >= m0_planes, which covers every position of the
-    big-factor groups.  Part (iii): the structural certificate for groups
-    with all factors of degree <= 2 in any position, valid for m >= 3
-    (for m = 2 the underlying plane-count corollary is false: a plane can
-    meet all four wreath planes, and containments do exist)."""
+    big-factor groups.  Part (iii): groups with all irreducible factors of
+    degree <= 2, in every position, for m >= 3, by a proof that computes
+    nothing:
+
+    Lemma 1 (blocks).  Let W = W1 x W2 act on V1 + V2, each Wi on Vi only,
+    in any invertible linear position.  Every plane of A_W is V1, V2 or
+    l1 + l2 with li a line of Vi.  Proof: a reflection (s1, s2) fixes
+    Fix(s1) + Fix(s2), of codimension the sum of theirs, so one si is 1 and
+    the mirror is H1 + V2 or V1 + H2.  A meet of mirrors is X1 + X2 with Xi
+    a meet of mirrors of Wi (Vi when there are none), and a plane of that
+    form is V1 + 0, 0 + V2 or l1 + l2.  No inner product enters.
+
+    Lemma 2 (meet bound).  A plane P of C^2 = R^4 that meets x = 0 and
+    y = 0 is span((a, 0), (0, b)), a, b != 0.  It meets y = cx, c != 0,
+    exactly when c is in R.(b/a), so it meets at most one antipodal pair of
+    the planes y = zeta^j x.  Proof: s(a, 0) + t(0, b) != 0 lies on y = cx
+    iff tb = csa, which forces st != 0 and c = (t/s)(b/a); c = r(b/a) gives
+    (s, t) = (1, r).  The unit numbers in R.(b/a) are +-(b/a)/|b/a|.
+
+    Conclusion for m >= 3.  Such a group is a W as in Lemma 1 with
+    dim V1 = dim V2 = 2.  Let all m + 2 wreath planes, which meet pairwise
+    in 0, be planes of A_W.  If one is V1, the other m + 1 >= 4 are
+    transverse to V1, so by Lemma 1 each is V2: impossible.  Likewise for
+    V2.  So each is l1 + l2 and meets V1.  Then V1 meets x = 0 and y = 0,
+    and by Lemma 2 it meets at most 2 of the m >= 3 planes y = zeta^j x, a
+    contradiction.  At m = 2 containments do exist."""
     if m < 2:
         raise ValueError("m must be >= 2")
     if k_max < 2:
@@ -463,42 +473,42 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
     labels = [g.name for g in groups]
 
     # -- part (i): standard positions --------------------------------------
-    part_i_entries = []
-    containments = []
     if m <= DIRECT_ARRANGEMENT_M_CAP:
         ag = wreath_arrangement(m)
 
-        def check(label):
-            aw = catalog_arrangement(label)
-            ok, witness = arrangement_contains(aw, ag)
+        def witness(label):
+            ok, w = arrangement_contains(catalog_arrangement(label), ag)
             if ok:
-                return label, None
-            return label, {
-                "witness_dim": witness.dim,
-                "witness": subspace_to_json(witness),
+                return None
+            return {
+                "witness_dim": w.dim,
+                "witness": subspace_to_json(w),
                 "justification": "computed-arrangement",
             }
 
-        for label, payload in _map(check, labels, jobs):
-            if payload is None:
-                containments.append(label)
-                part_i_entries.append({"group": label, "containment": True})
-            else:
-                part_i_entries.append({"group": label, **payload})
-        arrangement_source = "isotropy arrangement computed from the closure"
+        payloads = _map(witness, labels, jobs)
+        arrangement_source = {
+            "wreath": "isotropy arrangement computed from the closure",
+            "catalog": "reflection flat search (reflection_arrangement)",
+        }
     else:
-        for label in labels:
-            payload = _witness_against(label, m)
-            if payload is None:
-                containments.append(label)
-                part_i_entries.append({"group": label, "containment": True})
-            else:
-                part_i_entries.append({"group": label, **payload})
-        arrangement_source = (
-            f"m+2-plane description (recomputed exhaustively for m <= "
-            f"{DIRECT_ARRANGEMENT_M_CAP}; each plane is the fixed space of an "
-            f"explicit group element)"
-        )
+        payloads = [_witness_against(label, m) for label in labels]
+        arrangement_source = {
+            "wreath": (
+                f"m+2-plane description (recomputed exhaustively for m <= "
+                f"{DIRECT_ARRANGEMENT_M_CAP}; each plane is the fixed space of "
+                f"an explicit group element)"
+            ),
+            "catalog": (
+                "field obstruction when cos(2pi/m) lies outside the group's "
+                "field, else the reflection flat search (reflection_arrangement)"
+            ),
+        }
+    containments = [g for g, p in zip(labels, payloads) if p is None]
+    part_i_entries = [
+        {"group": g, "containment": True} if p is None else {"group": g, **p}
+        for g, p in zip(labels, payloads)
+    ]
     part_i_ok = not containments
     part_i = {
         "checked_groups": len(labels),
@@ -528,36 +538,23 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
     else:
         part_ii["note"] = "not applicable, m < m0_planes"
 
-    # -- part (iii): structural certificate ----------------------------------
-    dich_all = True
-    for p in range(2, k_max + 1):
-        for q in range(2, k_max + 1):
-            rep = verify_dichotomy(p, q)
-            if not rep.passed:
-                dich_all = False
-    sampled_m = m if m <= DIRECT_ARRANGEMENT_M_CAP else 5
-    plane_rep = verify_lemma_plane(sampled_m, samples=200, seed=0)
-    meet_bound = 1 if m % 2 == 1 else 2
-    corrected_holds = plane_rep.certificate["corrected_bound"]["holds"]
-    part_iii_ok = dich_all and corrected_holds and m >= 3
+    # -- part (iii): structural certificate, proved in the docstring -------
     part_iii = {
-        "dichotomy_standard_positions": {
-            "k_max": k_max,
-            "all_pass": dich_all,
-            "position_invariance": (
-                "a reflection group with all irreducible factors of degree "
-                "<= 2 acts in some orthogonal plane pair V1, V2; the "
-                "dichotomy statement is basis-free, so the standard-position "
-                "checks cover every position"
-            ),
-        },
-        "plane_meet_bound": {
-            "bound_for_this_m": meet_bound,
-            "sampled_at_m": sampled_m,
-            "sampled_at_this_m": sampled_m == m,
-            "corrected_bound_holds": corrected_holds,
-            "literal_at_most_one": plane_rep.passed,
-        },
+        "route": "proof from Lemma 1 (blocks) and Lemma 2 (meet bound)",
+        "lemma_1_blocks": (
+            "if W = W1 x W2 acts on V1 + V2, each Wi on Vi only, every plane "
+            "of A_W is V1, V2 or l1 + l2 with li a line of Vi"
+        ),
+        "lemma_2_meet_bound": (
+            "a plane that meets x = 0 and y = 0 is span((a, 0), (0, b)); it "
+            "meets y = cx exactly when c is in R.(b/a), so it meets at most "
+            "one antipodal pair of the planes y = zeta^j x"
+        ),
+        "position": (
+            "every invertible linear change of basis: Lemma 1 uses the "
+            "decomposition V1 + V2 and no inner product"
+        ),
+        "bound_for_this_m": 1 if m % 2 == 1 else 2,
         "pairwise_triviality": {
             "verified_exhaustively_for": f"m <= {DIRECT_ARRANGEMENT_M_CAP}",
             "argument": (
@@ -567,15 +564,14 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
             ),
         },
         "conclusion": (
-            "every plane of a 2+2 reflection arrangement is V1, V2 or meets "
-            "both; a wreath plane equal to V1 (or V2) would force the other "
-            "m+1 >= 4 pairwise-transverse planes all to equal V2 (or V1), so "
-            "all m+2 meet V1; V1 then meets both coordinate planes, so by the "
-            "corrected bound it meets at most one antipodal pair of the m >= 3 "
-            "planes y = zeta^j x"
+            "by Lemma 1 a wreath plane equal to V1 (or V2) would force the "
+            "other m+1 >= 4 pairwise-transverse planes all to equal V2 (or "
+            "V1), so all m+2 are l1 + l2 and meet V1; V1 then meets both "
+            "coordinate planes, so by Lemma 2 it meets at most one antipodal "
+            "pair of the m >= 3 planes y = zeta^j x"
         ),
         "applicable": m >= 3,
-        "pass": part_iii_ok,
+        "pass": m >= 3,
     }
     if m == 2:
         part_iii["note"] = (
@@ -584,7 +580,7 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
             "fails; containments do exist at m = 2"
         )
 
-    verdict = "pass" if (part_i_ok and part_iii_ok) else "fail"
+    verdict = "pass" if (part_i_ok and m >= 3) else "fail"
     cert = {
         "part_i_direct": part_i,
         "part_ii_counting": part_ii,

@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotref import arrangements, verify
-from rotref.cyclo import CycNum, zeta_power
+from rotref.cyclo import CycNum, real_imag_parts, zeta_power
 from rotref.cli import main
 from rotref.linalg import (
     MatrixF,
     Subspace,
+    intersection_dim,
     meets_nontrivially,
     subspace_contains,
     subspace_intersect,
@@ -623,6 +626,70 @@ def __meets_sub(p, q):
     from rotref.linalg import meets_nontrivially
 
     return meets_nontrivially(p, q)
+
+
+_NONZERO_12 = st.builds(
+    lambda nums, den: CycNum.make(12, nums, den),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=4, max_size=4),
+    st.integers(min_value=1, max_value=4),
+).filter(lambda a: not a.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_NONZERO_12, _NONZERO_12)
+def test_lemma_2_meet_bound_exactly(a, b):
+    # Lemma 2 of verify_theorem: P = span((a, 0), (0, b)) meets y = cx
+    # exactly when c is in R.(b/a), i.e. when c * a * conj(b) is real
+    zero = CycNum.zero(12)
+    p = Subspace.from_rows(
+        4, [[*real_imag_parts(a), zero, zero], [zero, zero, *real_imag_parts(b)]]
+    )
+    met = []
+    for j in range(12):
+        z = zeta_power(12, j) * a * b.conj()
+        real = z.conj() == z
+        assert meets_nontrivially(p, zeta_plane(12, 12, j)) == real
+        if real:
+            met.append(j)
+    assert len(met) <= 2
+    if len(met) == 2:
+        assert met[1] - met[0] == 6
+
+
+def _elementary_product(L, moves):
+    """T = E_1 E_2 ... and its inverse, for elementary integer matrices
+    E = I + c e_i e_j^T (i != j), whose inverse is I - c e_i e_j^T."""
+    def product(factors):
+        acc = MatrixF.identity(4, L)
+        for i, j, c in factors:
+            rows = [[CycNum.rational(L, int(r == s) + (c if (r, s) == (i, j) else 0))
+                     for s in range(4)] for r in range(4)]
+            acc = acc @ MatrixF.from_rows(rows)
+        return acc
+
+    return product(moves), product([(i, j, -c) for i, j, c in reversed(moves)])
+
+
+@pytest.mark.parametrize("p,q", [(2, 7), (3, 5), (4, 6)])
+def test_lemma_1_blocks_in_a_non_orthogonal_position(p, q):
+    # Lemma 1 of verify_theorem: every plane of A_W is T.V1, T.V2, or meets
+    # each of them in a line, for W = I2(p) x I2(q) conjugated by T
+    w = catalog_group(f"I2({p})xI2({q})")
+    L = w.conductor
+    t, t_inv = _elementary_product(L, [(0, 2, 1), (3, 1, -1), (1, 0, 2), (2, 3, 1)])
+    assert (t @ t_inv).is_identity()
+    assert not (t @ t.transpose()).is_identity()
+    moved = MatrixGroup([t @ g @ t_inv for g in w.generators])
+    columns = t.transpose()
+    v1 = Subspace.from_rows(4, [columns.row(0), columns.row(1)])
+    v2 = Subspace.from_rows(4, [columns.row(2), columns.row(3)])
+    planes = reflection_arrangement(moved).members_of_dim(2)
+    assert len(planes) == len(reflection_arrangement(w).members_of_dim(2))
+    keys = [u.key for u in planes]
+    assert v1.key in keys and v2.key in keys
+    for u in planes:
+        if u.key not in (v1.key, v2.key):
+            assert intersection_dim(u, v1) == 1 and intersection_dim(u, v2) == 1
 
 
 # -- structural dichotomy -----------------------------------------------------------

@@ -103,6 +103,39 @@ def test_dichotomy_reports():
         assert "violation" not in " ".join(cls)
 
 
+def _keys(obj):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield k
+            yield from _keys(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _keys(v)
+
+
+def test_theorem_part_iii_is_a_proof_with_no_sampled_check(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("verify_dichotomy", "verify_lemma_plane",
+                 "structural_dichotomy_check", "sample_rational_plane"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    reps = [verify.verify_theorem(5, k_max) for k_max in (4, 8)]
+    assert calls == []
+    part_iii = [r.certificate["part_iii_structural"] for r in reps]
+    assert not [k for k in _keys(part_iii) if "sampled" in k]
+    assert part_iii[0]["route"].count("Lemma") == 2 and part_iii[0]["pass"]
+    blobs = [json.dumps(p, sort_keys=True) for p in part_iii]
+    assert blobs[0] == blobs[1]
+    source = reps[0].certificate["part_i_direct"]["arrangement_source"]
+    assert "reflection_arrangement" in source["catalog"]
+
+
 def test_report_json_shape():
     rep = verify_lemma_AG(4)
     d = rep.to_json_dict()
@@ -327,7 +360,6 @@ def test_cli_threshold_honours_jobs(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "compute_threshold", recording)
     blobs = []
     for jobs in (1, 2):
-        monkeypatch.setattr(verify, "_THRESHOLD_CACHE", [])
         if jobs > 1:
             monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
         path = tmp_path / f"threshold-{jobs}.json"
@@ -337,12 +369,19 @@ def test_cli_threshold_honours_jobs(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-def _run_cli(args, cwd=None):
+def _run_cli(args, cwd=None, timeout=30):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     return subprocess.run(
         [sys.executable, "-m", "rotref.cli", *args],
-        env=env, capture_output=True, text=True, timeout=30, cwd=cwd,
+        env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd,
     )
+
+
+def test_cli_theorem_huge_m_ends_at_once():
+    # the field test for cos(2 pi/m) is integer arithmetic on m, with no
+    # cyclotomic polynomial of degree phi(m)
+    proc = _run_cli(["theorem", "--m", "100000000", "--k-max", "2"], timeout=20)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_lemma_plane_rejects_huge_conductor_at_once():
