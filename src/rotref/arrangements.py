@@ -11,7 +11,9 @@ built the first time it is read, from which listed spaces (seeds or
 hyperplanes) contain each member.
 
 Meets and containments go through rotref.linalg, which owns their modular
-certificates.
+certificates.  The reflection arrangement's flat search runs on images mod
+p (cyclo._ModImage) behind a lemma, and builds one exact basis per flat (see
+reflection_arrangement).
 
 All outputs are deterministic: members are canonically sorted by dimension
 and then by their canonical basis; witnesses are chosen by that order.
@@ -23,10 +25,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from rotref.cyclo import (
     ConductorMismatch,
     CycNum,
+    _mod_image,
     is_positive_real,
     real_imag_parts,
     zeta_power,
@@ -246,14 +250,15 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     """The flats of a reflection group: its reflecting hyperplanes and all
     their intersections, the full space excluded.
 
-    One breadth-first search over flats, with no group closure.  Let R be a
-    set of reflections generating w (its generators when they all are
-    reflections, else a generating subset of the reflections among its
-    elements).  The search starts from the hyperplanes H_s, s in R, and from
-    a member u makes the flats s.u and u meet H_s for each s in R.  Both
-    moves lead from flats to flats, and the search reaches every flat:
+    One breadth-first search over flats, with no group closure, run on their
+    images mod p (_flat_moves); an exact basis is then built once per flat.
+    Let R be a set of reflections generating w (its generators when they
+    all are reflections, else a generating subset of the reflections among
+    its elements).  The search starts from the hyperplanes H_s, s in R, and
+    from a member u makes the flats s.u and u meet H_s for each s in R.
+    Both moves lead from flats to flats, and the search reaches every flat:
 
-    (a) R meets every conjugacy class of reflections.  The abelianization
+    (1) R meets every conjugacy class of reflections.  The abelianization
         of a finite reflection group has one Z/2 factor per class: a sign
         character is -1 on the reflections of one class and +1 on all
         others (on a Coxeter generating set it respects the relations,
@@ -261,12 +266,12 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         reflections see Stanley, J. Algebra 49, 1977).  A class missed by R
         would make that character trivial on R, hence on w.  So the orbits
         of the H_s are all the reflecting hyperplanes.
-    (b) A flat X of codimension k >= 2 lies in some hyperplane, so by (a)
+    (2) A flat X of codimension k >= 2 lies in some hyperplane, so by (1)
         some conjugate X' of X lies in an H_s.  X' is cut out by k
         hyperplanes with independent normals, H_s among them; the other
         k - 1 meet in a flat Y of codimension k - 1 with X' = Y meet H_s.
         By induction on k the search reaches Y, then X', then X.
-    (c) There are at most |w| - 1 proper flats.  The product of the
+    (3) There are at most |w| - 1 proper flats.  The product of the
         reflections in k hyperplanes through X with independent normals (a
         Coxeter element of the parabolic subgroup fixing X; Steinberg 1964,
         Humphreys, *Reflection Groups and Coxeter Groups* 1.12) has fixed
@@ -274,26 +279,60 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         search that grows past DEFAULT_CLOSURE_CAP members therefore raises
         ClosureCapExceeded, as the closure would.
 
+    Flats mod p (README, design notes).  W = w is finite and generated by
+    R, and p = 1 (mod L) is the prime of cyclo._ModImage, whose kernel is a
+    prime P above p with local ring O_P.  p must not divide a denominator
+    of R: the residue map (cyclo._ModImage.residues) raises ValueError for
+    such a reflection, as the closure does.  Write red(U) for the image of
+    U meet O_P^n in F_p^n; it is the F_p-span of the reduced rows of any
+    P-integral basis of U whose reduction has full rank.
+
+    (a) W lies in GL_n(O_P), and p does not divide |W|: an element of order
+        p would have the eigenvalue zeta_p, whose degree over Q(zeta_L) is
+        p - 1 > n.
+    (b) For H <= W, pi_H = (1/|H|) sum(h, h in H) maps O_P^n onto
+        Fix(H) meet O_P^n and reduces to the projector onto Fix(H-bar).
+        Its rank equals its trace, which is at most n < p, so red(Fix H) =
+        Fix(H-bar).
+    (c) A flat X is the meet of the mirrors that contain it, so X =
+        Fix(H_X) for the group H_X they generate, and X meet Y =
+        Fix(<H_X, H_Y>).  Hence red(X meet Y) = red X meet red Y and
+        red(s.X) = s-bar.red X.  Also X != Y implies red X != red Y: else
+        red(X meet Y) = red X, so X meet Y has the dimension of X and of Y.
+
+    So the search over F_p visits exactly the reductions of the exact flats,
+    in the same order: it starts from the mirrors ker(s-bar - I), makes
+    s-bar.u and u meet H_s-bar from a flat u, skips a pair when u lies in
+    H_s-bar (exactly when the exact flat lies in H_s), and keys each flat
+    by its canonical F_p RREF.  Its members, their order of discovery, the
+    cap behaviour and the involution marks below are those of the exact
+    search.  Each flat's exact basis is then built in discovery order, by
+    applying the one move that found it exactly to its parent's basis, so
+    an over-cap group raises before any exact flat is built.
+
     The facts above hold for finite groups only.  Before the search, every
     s and every product s.t of two members of R must have a trace that is
     an algebraic integer and an order within the closure cap, as in any
     finite group (see _reject_infinite_pairs); otherwise ClosureCapExceeded
-    is raised at once.  An infinite group that passes this check and has
-    infinitely many flats still stops at the cap.  One that passes it and
-    has finitely many flats (an affine Weyl group in its Tits
-    representation: its hyperplanes all contain the radical of the form)
-    is not detected, and its flats are returned: the route assumes a
-    finite group, as the closure-free search cannot count its elements.
+    is raised at once.  An infinite group that passes this check stops at
+    the cap when it has more than DEFAULT_CLOSURE_CAP flats mod p, as the
+    (2,3,7) triangle group does in its Tits representation.  One with fewer
+    (an affine Weyl group in its Tits representation has finitely many
+    flats) is not detected, and flats are returned for it: the route
+    assumes a finite group, as the closure-free search cannot count its
+    elements.  (b) for the finite group <s> alone still makes each flat
+    built reduce to its key, so the flats returned are distinct.
 
-    Moves that only repeat earlier ones are skipped.  I - s = v_s f_s^T for
-    the normal f_s of H_s (see _reflection_vector), so s^2 = I -
-    (2 - f_s . v_s) v_s f_s^T, and s is an involution exactly when f_s . v_s
-    = 2.  Then w = s.u gives s.w = u, and w meet H_s = u meet H_s, as s
-    fixes H_s pointwise: both moves from (w, s) repeat those from (u, s),
-    so the pair (w, s) is marked done when w is made.  A reflection of
-    order > 2 is never marked (s.w = s^2.u differs from u).  A skipped move
-    reaches only known members, so the members, their order of discovery
-    and the cap behaviour are those of the full search.
+    Moves that only repeat earlier ones are skipped.  I - s-bar = v f^T
+    for a normal f of H_s-bar (see _mirror_mod_p), so s-bar^2 = I -
+    (2 - f . v) v f^T, and s-bar is an involution exactly when f . v = 2
+    (exactly when s is, as reduction is injective on the finite group
+    <s>; see groups).  Then w = s.u gives s.w = u, and w meet H_s =
+    u meet H_s, as s fixes H_s pointwise: both moves from (w, s) repeat
+    those from (u, s), so the pair (w, s) is marked done when w is made.  A
+    reflection of order > 2 is never marked (s.w = s^2.u differs from u).
+    A skipped move reaches only known members, so the members, their order
+    of discovery and the cap behaviour are those of the full search.
 
     The provenance of a member lists the positions, in the canonical order
     of the arrangement's hyperplanes (its members of dimension n - 1), of
@@ -304,53 +343,105 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         raise ValueError("group is not generated by its reflections")
     _reject_infinite_pairs(refl)
     n, L = w.ambient_dim, w.conductor
-    two = CycNum.rational(L, 2)
+    moves = _flat_moves(refl, _mod_image(L))
     mirrors = []
     for s in refl:
         h = fixed_space(s)
         normal = h.annihilator_rows()[0]
-        v = _reflection_vector(s, normal)
-        mirrors.append((h, normal, v, _dot(normal, v) == two))
-    position = {}
-    queue = []
-    done = []  # bit i of done[j]: the moves from (queue[j], s_i) repeat others
-
-    def visit(v):
-        j = position.get(v.key)
+        mirrors.append((h, normal, _reflection_vector(s, normal)))
+    flats = []
+    for j, i, turn in moves:
+        h, normal, v = mirrors[i]
         if j is None:
-            if len(queue) >= DEFAULT_CLOSURE_CAP:
-                raise ClosureCapExceeded(
-                    f"more than {DEFAULT_CLOSURE_CAP} flats: group too large "
-                    "or not finite"
-                )
-            j = position[v.key] = len(queue)
-            queue.append(v)
-            done.append(0)
-        return j
-
-    for h, _, _, _ in mirrors:
-        visit(h)
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        for i, (_, normal, v, involution) in enumerate(mirrors):
-            if done[qi] >> i & 1:
-                continue
-            ts = [_dot(normal, row) for row in u.basis]
-            if all(t.is_zero() for t in ts):
-                continue  # u lies in H_s, so s.u = u = u meet H_s
+            flats.append(h)
+            continue
+        u = flats[j]
+        ts = [_dot(normal, row) for row in u.basis]
+        if turn:
             rows = [
                 row if t.is_zero() else [a - t * b for a, b in zip(row, v)]
                 for row, t in zip(u.basis, ts)
             ]
-            j = visit(Subspace.from_rows(n, rows, L))
+            flats.append(Subspace.from_rows(n, rows, L))
+        else:
+            flats.append(_meet_hyperplane(u, ts))
+    order = tuple(sorted(flats, key=lambda u: u.sort_key()))
+    return Arrangement(n, L, order, lambda: _hyperplane_provenance(n, order))
+
+
+def _mirror_mod_p(img, s: MatrixF):
+    """The mirror of the reflection s mod p, as (key, f, v, involution).
+
+    I - s-bar has rank 1 by (b) of reflection_arrangement for the group
+    <s>, so I - s-bar = v f^T, with f its first nonzero row, and s-bar.x =
+    x - (f . x) v.  The mirror {x : f . x = 0} is spanned by f_c e_j - f_j
+    e_c, j != c, for f_c != 0, and keyed by its F_p RREF."""
+    n, p = s.rows, img.p
+    r = img.residues(s)
+    d = [[(int(i == j) - r[i * n + j]) % p for j in range(n)] for i in range(n)]
+    f = next(row for row in d if any(row))
+    c = next(j for j, a in enumerate(f) if a)
+    inv = pow(f[c], -1, p)
+    v = [row[c] * inv % p for row in d]
+    span = [
+        [f[c] * (k == j) - f[j] * (k == c) for k in range(n)]
+        for j in range(n)
+        if j != c
+    ]
+    return img.rref(span), f, v, sum(map(mul, f, v)) % p == 2
+
+
+def _flat_moves(refl, img) -> list:
+    """The breadth-first flat search of reflection_arrangement, run on
+    images mod p, each flat keyed by its F_p RREF.  Returns, for each flat
+    in order of discovery, the move that found it: (None, i, False) for the
+    mirror of refl[i], else (j, i, turn) for refl[i].u (turn) or u meet H_i
+    (not turn), with u the j-th flat."""
+    p = img.p
+    mirrors = [_mirror_mod_p(img, s) for s in refl]
+    position = {}
+    flats = []
+    moves = []
+    done = []  # bit i of done[j]: the moves from (flats[j], s_i) repeat others
+
+    def visit(key, move):
+        j = position.get(key)
+        if j is None:
+            if len(flats) >= DEFAULT_CLOSURE_CAP:
+                raise ClosureCapExceeded(
+                    f"more than {DEFAULT_CLOSURE_CAP} flats: group too large "
+                    "or not finite"
+                )
+            j = position[key] = len(flats)
+            flats.append(key)
+            moves.append(move)
+            done.append(0)
+        return j
+
+    for i, (h, _, _, _) in enumerate(mirrors):
+        visit(h, (None, i, False))
+    qi = 0
+    while qi < len(flats):
+        u = flats[qi]
+        for i, (_, f, v, involution) in enumerate(mirrors):
+            if done[qi] >> i & 1:
+                continue
+            ts = [sum(map(mul, f, row)) % p for row in u]
+            if not any(ts):
+                continue  # u lies in H_s, so s.u = u = u meet H_s
+            turned = [[a - t * b for a, b in zip(row, v)] for row, t in zip(u, ts)]
+            j = visit(img.rref(turned), (qi, i, True))
             if involution:
                 done[j] |= 1 << i
-            visit(_meet_hyperplane(u, ts))
+            k = next(k for k, t in enumerate(ts) if t)
+            cut = [
+                [ts[k] * a - t * b for a, b in zip(row, u[k])]
+                for m, (row, t) in enumerate(zip(u, ts))
+                if m != k
+            ]
+            visit(img.rref(cut), (qi, i, False))
         qi += 1
-
-    order = tuple(sorted(queue, key=lambda u: u.sort_key()))
-    return Arrangement(n, L, order, lambda: _hyperplane_provenance(n, order))
+    return moves
 
 
 def _hyperplane_provenance(n: int, members) -> tuple:

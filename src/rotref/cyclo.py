@@ -425,8 +425,11 @@ _INV_CACHE: dict[tuple, CycNum] = {}
 # A ring map Z[zeta_L] -> F_p sends every minor of an integral matrix to the
 # same minor of its image.  So a nonzero image certifies a nonzero exact
 # value, and the rank mod p is a lower bound for the exact rank: when it is
-# maximal it is the exact rank.  Rows are scaled by integers to clear their
-# denominators before reduction, so nothing is ever inverted mod p.
+# maximal it is the exact rank.  For these certificates rows are scaled by
+# integers to clear their denominators before reduction, so nothing is ever
+# inverted mod p.  The residue map of a matrix (_ModImage.residues), used
+# where a theorem makes reduction exact, inverts the shared denominator
+# instead, and rejects one that p divides.
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -485,8 +488,25 @@ class _ModImage:
         c = reduce(math.lcm, (e.den for e in row), 1)
         return tuple(self.integral(e.num) * (c // e.den) % self.p for e in row)
 
-    def rank(self, rows) -> int:
-        """Rank over F_p of integer rows, taken mod p."""
+    def residues(self, g) -> tuple:
+        """The image mod p of a matrix in shared-denominator form (a
+        linalg.MatrixF), row by row: entry num/den maps to integral(num) *
+        den^-1.  This is the residue map of the local ring O_P of the prime
+        P above p that is its kernel; a den divisible by p has no image, and
+        ValueError is raised."""
+        p = self.p
+        if g.den % p == 0:
+            raise ValueError(
+                f"a matrix denominator is divisible by the prime {p} used "
+                f"mod p at conductor {g.conductor}"
+            )
+        inv = pow(g.den, -1, p)
+        return tuple(self.integral(v) * inv % p for v in g.nums)
+
+    def rref(self, rows) -> tuple:
+        """The reduced row echelon form over F_p of integer rows taken mod p,
+        with leftmost pivots, each 1, and zero rows dropped: a canonical
+        key of the rows' span."""
         p = self.p
         rows = [[a % p for a in r] for r in rows]
         rank = 0
@@ -494,18 +514,22 @@ class _ModImage:
             sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
             if sel is None:
                 continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            prow = rows[rank]
-            inv = pow(prow[col], -1, p)
+            inv = pow(rows[sel][col], -1, p)
+            prow = [a * inv % p for a in rows[sel]]
+            rows[sel] = rows[rank]
+            rows[rank] = prow
+            for r, row in enumerate(rows):
+                f = row[col]
+                if f and r != rank:
+                    rows[r] = [(a - f * b) % p for a, b in zip(row, prow)]
             rank += 1
-            for r in range(rank, len(rows)):
-                f = rows[r][col]
-                if f:
-                    f = f * inv % p
-                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], prow)]
             if rank == len(rows):
                 break
-        return rank
+        return tuple(tuple(r) for r in rows[:rank])
+
+    def rank(self, rows) -> int:
+        """Rank over F_p of integer rows, taken mod p."""
+        return len(self.rref(rows))
 
 
 _MOD_IMAGES: dict[int, _ModImage] = {}

@@ -150,18 +150,6 @@ class MatrixGroup:
         return f"MatrixGroup({self.name!r}, dim={self.ambient_dim}, L={self.conductor}{size})"
 
 
-def _residues(g: MatrixF, p: int, img) -> tuple:
-    """The image mod p of g, row by row: entry num/den maps to
-    img(num) * den^-1.  A den divisible by p has no image."""
-    if g.den % p == 0:
-        raise ValueError(
-            f"a generator denominator is divisible by the prime {p} used to "
-            f"close groups at conductor {g.conductor}"
-        )
-    inv = pow(g.den, -1, p)
-    return tuple(img.integral(v) * inv % p for v in g.nums)
-
-
 def _columns(r: tuple, n: int) -> tuple:
     return tuple(r[j::n] for j in range(n))
 
@@ -227,7 +215,7 @@ class _Elements(Sequence):
         self.p = self.img.p
         self.n = n
         self.generators = group.generators
-        self._gen_residues = [_residues(g, self.p, self.img) for g in self.generators]
+        self._gen_residues = [self.img.residues(g) for g in self.generators]
         self.residues, self.position, self.parents = _residue_bfs(
             self._gen_residues, n, self.p, cap
         )

@@ -376,6 +376,27 @@ def test_reflection_arrangement_computes_no_closure():
     assert arr.dim_counts() == {0: 1, 1: 31, 2: 15}
 
 
+def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
+    # the search runs mod p, and each member but the four starting mirrors
+    # is then built by one exact move from its parent: 2099 RREFs, where
+    # the exact search made 7984
+    g = catalog_group("H4")
+    for s in g.generators:
+        fixed_space(s)  # the starting mirrors, cached on their generators
+    calls = 0
+    from_rows = Subspace.from_rows
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return from_rows(*args)
+
+    monkeypatch.setattr(Subspace, "from_rows", staticmethod(counted))
+    arr = reflection_arrangement(g)
+    assert arr.size == 2103
+    assert calls == 2103 - 4
+
+
 def test_reflection_arrangement_from_non_reflection_generators():
     b2 = catalog_group("B2")
     expected = reflection_arrangement(b2).key_set()
@@ -404,7 +425,22 @@ def _shear_group():
     return MatrixGroup([s1, s2], name="shear")
 
 
-INFINITE_GROUPS = [_infinite_dihedral_group, _shear_group]
+def _triangle_group_237():
+    # the hyperbolic (2,3,7) triangle group in its Tits representation,
+    # s_i e_j = e_j + 2cos(pi/m_ij) e_i with 2cos(pi/m) = zeta_2m + zeta_2m^-1:
+    # each product of two generators has order 2, 3 or 7 and every trace is
+    # integral, so the pre-check passes, yet 1/2 + 1/3 + 1/7 < 1
+    L = 28
+    one, zero = CycNum.one(L), CycNum.zero(L)
+    c3 = one  # 2cos(pi/3)
+    c7 = zeta_power(L, 2) + zeta_power(L, -2)  # 2cos(pi/7)
+    s1 = MatrixF.from_rows([[-one, zero, c3], [zero, one, zero], [zero, zero, one]])
+    s2 = MatrixF.from_rows([[one, zero, zero], [zero, -one, c7], [zero, zero, one]])
+    s3 = MatrixF.from_rows([[one, zero, zero], [zero, one, zero], [c3, c7, -one]])
+    return MatrixGroup([s1, s2, s3], name="(2,3,7) triangle")
+
+
+INFINITE_GROUPS = [_infinite_dihedral_group, _shear_group, _triangle_group_237]
 
 
 @pytest.mark.parametrize("make", INFINITE_GROUPS)

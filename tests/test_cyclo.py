@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -23,7 +25,14 @@ from rotref.cyclo import (
     real_sign,
     zeta_power,
 )
-from rotref.cyclo import _cos, _mod_image, _pi, _poly_mul_int
+from rotref.cyclo import (
+    _alternating,
+    _cos,
+    _cos_terms,
+    _mod_image,
+    _pi,
+    _poly_mul_int,
+)
 
 
 # -- cyclotomic polynomials -------------------------------------------------
@@ -256,6 +265,49 @@ def test_pi_and_cosine_enclosures(bits):
         sign = 1 if k in (1, 7) else -1
         lo, hi = sorted((sign * lo, sign * hi))
         assert lo * lo <= scale * scale // 2 <= hi * hi and lo > 0
+
+
+# cos(2*pi*k/L) = (a + b*sqrt(d)) / c, b = +-1
+_QUADRATIC_COSINES = {
+    (1, 5): (-1, 1, 5, 4), (4, 5): (-1, 1, 5, 4),
+    (2, 5): (-1, -1, 5, 4), (3, 5): (-1, -1, 5, 4),
+    (1, 12): (0, 1, 3, 2), (11, 12): (0, 1, 3, 2),
+    (5, 12): (0, -1, 3, 2), (7, 12): (0, -1, 3, 2),
+}
+
+
+def test_cosine_enclosures_against_isqrt_brackets():
+    # S*sqrt(d) is irrational and r = isqrt(d*S^2) is its floor, so b*S*sqrt(d)
+    # has the floor r (b = 1) or -r - 1 (b = -1), and an integer is at most
+    # b*S*sqrt(d) exactly when it is at most that floor
+    for bits in range(9, 201):
+        scale = 1 << bits
+        pi = _pi(scale)
+        for (k, L), (a, b, d, c) in _QUADRATIC_COSINES.items():
+            r = math.isqrt(d * scale * scale)
+            floor = r if b > 0 else -r - 1
+            lo, hi = _cos(k, L, pi, scale)
+            assert c * lo - a * scale <= floor < c * hi - a * scale, (bits, k, L)
+            assert hi - lo < 6 * bits + 120
+
+
+@pytest.mark.parametrize("bits", [9, 20, 64, 160])
+def test_cosine_terms_and_tail_widening_bound_the_series(bits):
+    scale = 1 << bits
+    # each pair brackets x^(2n)/(2n)! for x in [x_lo, x_hi]/scale, outwards
+    for x_lo, x_hi in ((scale // 3, scale // 3 + 1), (scale, scale + 2),
+                       (3 * scale // 2, 3 * scale // 2 + 5)):
+        for n, (dn, up) in enumerate(_cos_terms(x_lo, x_hi, scale)):
+            def term(x):
+                return scale * Fraction(x, scale) ** (2 * n) / math.factorial(2 * n)
+
+            assert dn <= term(x_lo) and term(x_hi) <= up, (x_lo, n)
+            if up <= 1:
+                break
+    # sum((-1)^n 2^-n) = 2/3 from exact terms: they stop at 2^-bits, and the
+    # tail of 2/3 of a unit is covered only by the final widening
+    lo, hi = _alternating((scale >> n, scale >> n) for n in itertools.count())
+    assert 3 * lo <= 2 * scale <= 3 * hi
 
 
 def _sqrt5():

@@ -421,16 +421,17 @@ def test_lemma_plane_runs_at_the_conductor_cap():
         verify_lemma_plane(251, 1, 0)  # conductor lcm(4, 251) = 1004
 
 
-def _diag_group_file(path, a, b):
-    """A JSON group over conductor 4 with the one generator diag(a, b)."""
+def _group_file(path, entries):
+    """A JSON group over conductor 4 with one 2 x 2 rational generator,
+    given by its entries in row order."""
     def entry(v):
         return {"conductor": 4, "coeffs": [str(v), "0"]}
 
     path.write_text(json.dumps({
         "name": "hostile", "ambient": 2, "conductor": 4,
-        "generators": [{"rows": 2, "cols": 2, "entries": [
-            entry(a), entry(0), entry(0), entry(b),
-        ]}],
+        "generators": [
+            {"rows": 2, "cols": 2, "entries": [entry(v) for v in entries]}
+        ],
     }))
     return path
 
@@ -439,17 +440,29 @@ _P4 = groups._mod_image(4).p
 
 
 @pytest.mark.parametrize(
-    "a, b",
-    [(1 + _P4, 1), (f"1/{_P4}", 1), (2, 1)],
-    ids=["trivial-mod-p", "denominator-divisible-by-p", "infinite-order-at-cap"],
+    "entries",
+    [
+        (1 + _P4, 0, 0, 1),
+        (f"1/{_P4}", 0, 0, 1),
+        (2, 0, 0, 1),
+        # a reflection of order 2 whose denominator p divides: the closure
+        # and the flat search both work mod p and refuse it
+        (-1, 0, f"-1/{_P4}", 1),
+    ],
+    ids=["trivial-mod-p", "denominator-divisible-by-p", "infinite-order-at-cap",
+         "reflection-with-denominator-p"],
 )
 @pytest.mark.parametrize(
     "command",
-    [["group", "show"], ["arrangement", "compute", "--method", "isotropy"]],
-    ids=["group-show", "arrangement-isotropy"],
+    [
+        ["group", "show"],
+        ["arrangement", "compute", "--method", "isotropy"],
+        ["arrangement", "compute", "--method", "reflection"],
+    ],
+    ids=["group-show", "arrangement-isotropy", "arrangement-reflection"],
 )
-def test_cli_hostile_group_exits_2(a, b, command, tmp_path):
-    path = _diag_group_file(tmp_path / "group.json", a, b)
+def test_cli_hostile_group_exits_2(entries, command, tmp_path):
+    path = _group_file(tmp_path / "group.json", entries)
     args = command[:2] + [str(path)] + command[2:]
     proc = _run_cli(args)
     assert proc.returncode == 2
@@ -474,7 +487,7 @@ def _entry_conductor_60060(d):
 def test_cli_group_above_a_cap_exits_2_at_once(corrupt, tmp_path):
     # tables for conductor 60060 or a 30000 x 30000 identity would take
     # minutes or exhaust memory; the caps are checked before either is built
-    path = _diag_group_file(tmp_path / "group.json", 1, -1)
+    path = _group_file(tmp_path / "group.json", (1, 0, 0, -1))
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     proc = _run_cli(["group", "show", str(path)])
     assert proc.returncode == 2
