@@ -30,7 +30,7 @@ print(f"\nm0 (plane counting): {res.m0_planes}")
 print(f"m0 (total counting): {res.m0_total}")
 
 print("\nthe certificate at m = m0:")
-rep = verify_theorem(res.m0_planes, k_max=8)
+rep = verify_theorem(res.m0_planes)
 cert = rep.certificate
 print(f"  part (i)   {cert['part_i_direct']['checked_groups']} standard positions, "
       f"pass={cert['part_i_direct']['pass']}")

@@ -137,7 +137,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("theorem", parents=[common],
                        help="the three-part non-containment certificate")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=8, dest="k_max")
 
     p = sub.add_parser("catalog", parents=[common], help="catalog utilities")
     p.add_argument("action", choices=["list"])
@@ -208,7 +207,7 @@ def _dispatch(args) -> int:
         return _emit_reports([rep], args.json)
 
     if cmd == "theorem":
-        rep = verify_theorem(args.m, args.k_max, jobs=args.jobs)
+        rep = verify_theorem(args.m, jobs=args.jobs)
         cert = rep.certificate
         print(f"part (i)   direct non-containment: "
               f"{'pass' if cert['part_i_direct']['pass'] else 'FAIL'} "

@@ -430,16 +430,16 @@ def _witness_against(label: str, m: int):
     return None
 
 
-def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
+def verify_theorem(m: int, jobs: int = 1) -> VerificationReport:
     """Three-part certificate that the wreath arrangement is contained in no
     degree-4 real reflection arrangement.
 
-    Part (i): direct non-containment against every standard-position catalog
-    group with I2(k), k <= k_max.  Part (ii): the counting certificate,
-    applicable when m >= m0_planes, which covers every position of the
-    big-factor groups.  Part (iii): groups with all irreducible factors of
-    degree <= 2, in every position, for m >= 3, by a proof that computes
-    nothing:
+    Part (i): direct non-containment against the eleven big-factor groups
+    (an irreducible factor of degree 3 or 4) in standard position.
+    Part (ii): the counting certificate, applicable when m >= m0_planes,
+    which covers every position of the big-factor groups.  Part (iii): every
+    other group, all irreducible factors of degree <= 2 and I2(k) for every
+    k, in every position, for m >= 3, by a proof that computes nothing:
 
     Lemma 1 (blocks).  Let W = W1 x W2 act on V1 + V2, each Wi on Vi only,
     in any invertible linear position.  Every plane of A_W is V1, V2 or
@@ -465,12 +465,9 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
     contradiction.  At m = 2 containments do exist."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
     t0 = time.perf_counter()
     threshold = compute_threshold(jobs=jobs)
-    groups = enumerate_degree4_catalog(k_max)
-    labels = [g.name for g in groups]
+    labels = BIG_FACTOR_LABELS
 
     # -- part (i): standard positions --------------------------------------
     if m <= DIRECT_ARRANGEMENT_M_CAP:
@@ -591,9 +588,7 @@ def verify_theorem(m: int, k_max: int, jobs: int = 1) -> VerificationReport:
             "positions are checked directly"
         ),
     }
-    return _report(
-        "theorem", {"m": m, "k_max": k_max}, verdict, cert, t0
-    )
+    return _report("theorem", {"m": m}, verdict, cert, t0)
 
 
 # ---------------------------------------------------------------------------

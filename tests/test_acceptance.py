@@ -308,7 +308,7 @@ def test_criterion_7_threshold_regression():
 def test_criterion_7_theorem_at_m0(tmp_path):
     m0 = compute_threshold().m0_planes
     path = tmp_path / "theorem_m0.json"
-    code = main(["theorem", "--m", str(m0), "--k-max", "8", "--json", str(path)])
+    code = main(["theorem", "--m", str(m0), "--json", str(path)])
     data = json.loads(path.read_text())
     cert = data["reports"][0]["certificate"]
     ok = (
@@ -317,13 +317,13 @@ def test_criterion_7_theorem_at_m0(tmp_path):
         and cert["part_ii_counting"]["applicable"]
         and cert["part_iii_structural"]["pass"]
     )
-    _line("7 theorem m=m0 k_max=8", "PASS" if ok else "FAIL", f"m0={m0}, exit={code}")
+    _line("7 theorem m=m0", "PASS" if ok else "FAIL", f"m0={m0}, exit={code}")
     assert ok
 
 
 def test_criterion_7_theorem_m3(tmp_path):
     path = tmp_path / "theorem_m3.json"
-    code = main(["theorem", "--m", "3", "--k-max", "6", "--json", str(path)])
+    code = main(["theorem", "--m", "3", "--json", str(path)])
     data = json.loads(path.read_text())
     cert = data["reports"][0]["certificate"]
     ok = (
@@ -333,7 +333,7 @@ def test_criterion_7_theorem_m3(tmp_path):
         and cert["part_ii_counting"]["note"] == "not applicable, m < m0_planes"
         and cert["part_iii_structural"]["pass"]
     )
-    _line("7 theorem m=3 k_max=6", "PASS" if ok else "FAIL", f"exit={code}")
+    _line("7 theorem m=3", "PASS" if ok else "FAIL", f"exit={code}")
     assert ok
 
 
@@ -345,14 +345,14 @@ def test_criterion_8_in_process_determinism():
         verify_rotation_group(5),
         verify_lemma_plane(5, 200, 0),
         verify_dichotomy(3, 5),
-        verify_theorem(3, 4, jobs=1),
+        verify_theorem(3, jobs=1),
     ]
     reports_b = [
         verify_lemma_AG(5),
         verify_rotation_group(5),
         verify_lemma_plane(5, 200, 0),
         verify_dichotomy(3, 5),
-        verify_theorem(3, 4, jobs=2),
+        verify_theorem(3, jobs=2),
     ]
     blobs_a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports_a]
     blobs_b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports_b]

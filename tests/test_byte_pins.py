@@ -172,9 +172,10 @@ CLI_JSON_SHA256 = {
     "rotation --m 7": (0, "6f805facee07091684ae274bd9793a8bc1458717e0fdd4a2eb8f1ea0f386c101"),
     "rotation --m 8": (0, "76c6e435f5cbf62ad9e6abbe40211f437657475df3a5a2714055ec71041cc0a9"),
     "rotation --m 9": (0, "837126aa80ec7445db5d13ac102c666e6d7d8bb7492f119bfd2f16918812d984"),
-    # recorded when part (iii) of theorem became a proof from two lemmas
-    "theorem --m 3 --k-max 4": (0, "2e3ec332bc1ee66ed395676b716f7cb8d9a8613a0d871efbaa61485f14a4f74b"),
-    "theorem --m 721 --k-max 8": (0, "141b531561de9167821d46449d91d8165110a0b0d45ed74cae102d5192eee4d7"),
+    # recorded when part (i) of theorem came to check the eleven big-factor
+    # groups only, and theorem lost --k-max
+    "theorem --m 3": (0, "1db3a7eb8ebdf65301045045709c1cf828b164aabc84520867bca3504b175463"),
+    "theorem --m 721": (0, "992655517722e8e1baf4ac9a9b663c63586df659083c0c63fabaa36f31ad4e0c"),
 }
 
 

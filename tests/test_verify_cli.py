@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotref import groups, verify
 from rotref.cli import main
+from rotref.cyclo import euler_phi
 from rotref.verify import (
     verify_dichotomy,
     verify_lemma_AG,
@@ -125,15 +131,50 @@ def test_theorem_part_iii_is_a_proof_with_no_sampled_check(monkeypatch):
     for name in ("verify_dichotomy", "verify_lemma_plane",
                  "structural_dichotomy_check", "sample_rational_plane"):
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
-    reps = [verify.verify_theorem(5, k_max) for k_max in (4, 8)]
+    rep = verify.verify_theorem(5)
     assert calls == []
-    part_iii = [r.certificate["part_iii_structural"] for r in reps]
+    part_iii = rep.certificate["part_iii_structural"]
     assert not [k for k in _keys(part_iii) if "sampled" in k]
-    assert part_iii[0]["route"].count("Lemma") == 2 and part_iii[0]["pass"]
-    blobs = [json.dumps(p, sort_keys=True) for p in part_iii]
-    assert blobs[0] == blobs[1]
-    source = reps[0].certificate["part_i_direct"]["arrangement_source"]
+    assert part_iii["route"].count("Lemma") == 2 and part_iii["pass"]
+    source = rep.certificate["part_i_direct"]["arrangement_source"]
     assert "reflection_arrangement" in source["catalog"]
+
+
+def test_theorem_part_i_reads_only_the_big_factor_groups(monkeypatch):
+    # part (iii) proves every group without a factor of degree 3 or 4, so
+    # part (i) builds and reads the eleven big-factor arrangements only; at
+    # m = 20 four of them take the direct-membership branch above the cap
+    touched = []
+
+    def counting(fn):
+        def wrapped(label, *args, **kwargs):
+            touched.append(label)
+            return fn(label, *args, **kwargs)
+        return wrapped
+
+    for name in ("catalog_arrangement", "catalog_group"):
+        monkeypatch.setattr(verify, name, counting(getattr(verify, name)))
+    for m in (2, 5, 20):
+        part_i = verify.verify_theorem(m).certificate["part_i_direct"]
+        assert part_i["checked_groups"] == 11
+        assert [w["group"] for w in part_i["witnesses"]] == list(groups.BIG_FACTOR_LABELS)
+    assert touched and set(touched) <= set(groups.BIG_FACTOR_LABELS)
+    direct = {w["group"] for w in part_i["witnesses"]
+              if w["justification"] == "direct-membership"}
+    assert direct == {"H4", "A4", "H3xA1", "H3x1"}
+
+
+def test_survey_finds_no_small_factor_container():
+    # the computation that part (iii) replaced, kept as an oracle for its
+    # proof in standard position: of the 45 groups with I2(k), k <= 6, only
+    # the big-factor B4, D4 and F4 contain the wreath arrangement, at m = 4
+    rows = verify.survey_containments(3, 6, 6)
+    assert {r["m"]: sorted(r["contained_in"]) for r in rows} == {
+        3: [], 4: ["B4", "D4", "F4"], 5: [], 6: []
+    }
+    small = [g for g in groups.enumerate_degree4_catalog(6)
+             if g.name not in groups.BIG_FACTOR_LABELS]
+    assert len(small) == 34 and "I2(6)xI2(6)" in [g.name for g in small]
 
 
 def test_report_json_shape():
@@ -315,12 +356,97 @@ def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# -- wire-format fuzz: hypothesis corruptions of the B2 group file ----------
+#
+# B2's file has conductor 4, ambient 2 and two 2x2 generators whose entries
+# carry phi(4) = 2 coefficients.  Each corruption is a (path, value) edit of
+# it that no valid group file has.
+
+def _entry(L=4):
+    return {"conductor": L, "coeffs": ["1/1"] + ["0/1"] * (euler_phi(L) - 1)}
+
+
+_GEN = st.integers(0, 1)
+_ENTRY = st.integers(0, 3)
+_NOT_AN_INT = st.one_of(
+    st.floats(), st.text(max_size=4), st.booleans(), st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def _bad_int(cap):
+    return st.one_of(_NOT_AN_INT, st.integers(max_value=0), st.integers(min_value=cap + 1))
+
+
+def _edit(value, *keys):
+    """(path, value): keys are JSON keys, or strategies for list indices."""
+    path = st.tuples(*(k if isinstance(k, st.SearchStrategy) else st.just(k) for k in keys))
+    return st.tuples(path, value)
+
+
+_WIRE_CORRUPTIONS = st.one_of(
+    # wrong coefficient count
+    _edit(st.integers(0, 6).filter(lambda n: n != 2).map(lambda n: ["1/1"] * n),
+          "generators", _GEN, "entries", _ENTRY, "coeffs"),
+    # zero or negative denominator
+    _edit(st.builds("{}/{}".format, st.integers(-9, 9), st.integers(max_value=0)),
+          "generators", _GEN, "entries", _ENTRY, "coeffs", st.integers(0, 1)),
+    # non-square generator
+    _edit(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda rc: rc[0] != rc[1]).map(
+              lambda rc: {"rows": rc[0], "cols": rc[1], "entries": [_entry()] * (rc[0] * rc[1])}),
+          "generators", _GEN),
+    # ragged generator: the entry count is not rows * cols
+    _edit(st.integers(0, 8).filter(lambda n: n != 4).map(lambda n: [_entry()] * n),
+          "generators", _GEN, "entries"),
+    # mixed conductors: one entry of another conductor, or a generator over
+    # a conductor that does not divide the group's
+    _edit(st.sampled_from([1, 2, 3, 5, 8, 12]).map(_entry),
+          "generators", _GEN, "entries", _ENTRY),
+    _edit(st.sampled_from([3, 5, 8, 12]).map(
+              lambda L: {"rows": 2, "cols": 2, "entries": [_entry(L)] * 4}),
+          "generators", _GEN),
+    # ambient or conductor out of range or not an integer
+    _edit(_bad_int(groups.AMBIENT_CAP), "ambient"),
+    _edit(_bad_int(verify.CONDUCTOR_CAP), "conductor"),
+    _edit(_bad_int(verify.CONDUCTOR_CAP), "generators", _GEN, "entries", _ENTRY, "conductor"),
+)
+
+
+@pytest.fixture(scope="module")
+def b2_group_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "grp.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["group", "show", "B2", "--json", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=80, deadline=2000)
+@given(edit=_WIRE_CORRUPTIONS)
+def test_cli_group_file_fuzz_exits_2(b2_group_file, edit):
+    path, valid = b2_group_file
+    keys, value = edit
+    data = copy.deepcopy(valid)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["group", "show", str(path)])
+    assert code == 2, out.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 def test_cli_usage_errors(capsys):
     assert main(["group", "show", "E8"]) == 2
     assert main(["lemma-ag", "--m", "0"]) == 2
     assert main(["rotation", "--m", "1"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["lemma-ag"])  # missing required --m
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem", "--m", "5", "--k-max", "8"])  # catalog list and survey only
     assert exc.value.code == 2
 
 
@@ -380,7 +506,7 @@ def _run_cli(args, cwd=None, timeout=30):
 def test_cli_theorem_huge_m_ends_at_once():
     # the field test for cos(2 pi/m) is integer arithmetic on m, with no
     # cyclotomic polynomial of degree phi(m)
-    proc = _run_cli(["theorem", "--m", "100000000", "--k-max", "2"], timeout=20)
+    proc = _run_cli(["theorem", "--m", "100000000"], timeout=20)
     assert proc.returncode == 0, proc.stderr
 
 
