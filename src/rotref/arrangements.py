@@ -12,7 +12,8 @@ hyperplanes) contain each member.
 
 Meets and containments go through rotref.linalg, which owns their modular
 certificates.  The reflection arrangement's flat search runs on images mod
-p (cyclo._ModImage) behind a lemma, and builds one exact basis per flat (see
+p (cyclo._ModImage) behind a lemma, which also gives each flat's dimension;
+one exact basis per flat is built when the members are first read (see
 reflection_arrangement).
 
 All outputs are deterministic: members are canonically sorted by dimension
@@ -80,36 +81,46 @@ __all__ = [
 # arrangements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arrangement:
     """A finite set of proper subspaces in canonical order (dimension, then
     canonical basis), with a per-member provenance witness.
 
-    `_provenance` is the witness tuple, or a function of no arguments that
-    builds it; the function runs the first time `provenance` is read."""
+    `dims` holds the member dimensions in that order, so `size` and
+    `dim_counts()` read no subspace.  `_subspaces` is the member tuple, or a
+    function of no arguments that builds it; `_provenance` is the witness
+    tuple, or a function of the member tuple that builds it.  Each function
+    runs the first time `subspaces` or `provenance` is read."""
 
     ambient_dim: int
     conductor: int
-    subspaces: tuple
-    _provenance: object = field(repr=False, compare=False)
+    dims: tuple
+    _subspaces: object = field(repr=False)
+    _provenance: object = field(repr=False)
+
+    @property
+    def subspaces(self) -> tuple:
+        if callable(self._subspaces):
+            object.__setattr__(self, "_subspaces", self._subspaces())
+        return self._subspaces
 
     @property
     def provenance(self) -> tuple:
         if callable(self._provenance):
-            object.__setattr__(self, "_provenance", self._provenance())
+            object.__setattr__(self, "_provenance", self._provenance(self.subspaces))
         return self._provenance
 
     @property
     def size(self) -> int:
-        return len(self.subspaces)
+        return len(self.dims)
 
     def members_of_dim(self, d: int):
         return [s for s in self.subspaces if s.dim == d]
 
     def dim_counts(self) -> dict:
         out: dict[int, int] = {}
-        for s in self.subspaces:
-            out[s.dim] = out.get(s.dim, 0) + 1
+        for d in self.dims:
+            out[d] = out.get(d, 0) + 1
         return out
 
     def key_set(self):
@@ -121,8 +132,9 @@ class Arrangement:
         return Arrangement(
             self.ambient_dim,
             L2,
-            tuple(s.embed(L2) for s in self.subspaces),
-            lambda: self.provenance,
+            self.dims,
+            lambda: tuple(s.embed(L2) for s in self.subspaces),
+            lambda _: self.provenance,
         )
 
 
@@ -208,7 +220,8 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
         for w in meets:
             members.setdefault(w.key, w)
     order = tuple(sorted(members.values(), key=lambda u: u.sort_key()))
-    return Arrangement(n, L, order, lambda: _seed_provenance(seeds, order))
+    dims = tuple(u.dim for u in order)
+    return Arrangement(n, L, dims, order, lambda ms: _seed_provenance(seeds, ms))
 
 
 def _seed_provenance(seeds, members) -> tuple:
@@ -251,7 +264,8 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     their intersections, the full space excluded.
 
     One breadth-first search over flats, with no group closure, run on their
-    images mod p (_flat_moves); an exact basis is then built once per flat.
+    images mod p (_flat_moves); an exact basis is built once per flat, the
+    first time the members are read.
     Let R be a set of reflections generating w (its generators when they
     all are reflections, else a generating subset of the reflections among
     its elements).  The search starts from the hyperplanes H_s, s in R, and
@@ -306,9 +320,12 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     H_s-bar (exactly when the exact flat lies in H_s), and keys each flat
     by its canonical F_p RREF.  Its members, their order of discovery, the
     cap behaviour and the involution marks below are those of the exact
-    search.  Each flat's exact basis is then built in discovery order, by
-    applying the one move that found it exactly to its parent's basis, so
-    an over-cap group raises before any exact flat is built.
+    search.  By (b), the dimension of each flat is the length of its key,
+    so the member dimensions, and with them `size` and `dim_counts()`,
+    come from the search alone.  The exact bases are built the first time
+    `subspaces` is read (_exact_flats): in discovery order, each by applying
+    the one move that found it exactly to its parent's basis.  An over-cap
+    group raises before anything is returned.
 
     The facts above hold for finite groups only.  Before the search, every
     s and every product s.t of two members of R must have a trace that is
@@ -343,7 +360,17 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         raise ValueError("group is not generated by its reflections")
     _reject_infinite_pairs(refl)
     n, L = w.ambient_dim, w.conductor
-    moves = _flat_moves(refl, _mod_image(L))
+    moves, dims = _flat_moves(refl, _mod_image(L))
+    return Arrangement(
+        n, L, tuple(sorted(dims)), lambda: _exact_flats(n, L, refl, moves),
+        lambda ms: _hyperplane_provenance(n, ms),
+    )
+
+
+def _exact_flats(n: int, L: int, refl, moves) -> tuple:
+    """The exact flats of reflection_arrangement in canonical order: each
+    flat's basis is built in discovery order, by applying the one move of
+    `moves` that found it exactly to its parent's basis."""
     mirrors = []
     for s in refl:
         h = fixed_space(s)
@@ -365,8 +392,7 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
             flats.append(Subspace.from_rows(n, rows, L))
         else:
             flats.append(_meet_hyperplane(u, ts))
-    order = tuple(sorted(flats, key=lambda u: u.sort_key()))
-    return Arrangement(n, L, order, lambda: _hyperplane_provenance(n, order))
+    return tuple(sorted(flats, key=lambda u: u.sort_key()))
 
 
 def _mirror_mod_p(img, s: MatrixF):
@@ -391,12 +417,13 @@ def _mirror_mod_p(img, s: MatrixF):
     return img.rref(span), f, v, sum(map(mul, f, v)) % p == 2
 
 
-def _flat_moves(refl, img) -> list:
+def _flat_moves(refl, img) -> tuple:
     """The breadth-first flat search of reflection_arrangement, run on
-    images mod p, each flat keyed by its F_p RREF.  Returns, for each flat
-    in order of discovery, the move that found it: (None, i, False) for the
-    mirror of refl[i], else (j, i, turn) for refl[i].u (turn) or u meet H_i
-    (not turn), with u the j-th flat."""
+    images mod p, each flat keyed by its F_p RREF.  Returns two lists over
+    the flats in order of discovery: the move that found each, (None, i,
+    False) for the mirror of refl[i], else (j, i, turn) for refl[i].u (turn)
+    or u meet H_i (not turn), with u the j-th flat; and the dimension of
+    each, the length of its key, which is exact by (b)."""
     p = img.p
     mirrors = [_mirror_mod_p(img, s) for s in refl]
     position = {}
@@ -441,7 +468,7 @@ def _flat_moves(refl, img) -> list:
             ]
             visit(img.rref(cut), (qi, i, False))
         qi += 1
-    return moves
+    return moves, [len(key) for key in flats]
 
 
 def _hyperplane_provenance(n: int, members) -> tuple:

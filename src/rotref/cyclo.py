@@ -20,6 +20,7 @@ positive denominator), which is exactly the invariant the code needs.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -674,10 +675,14 @@ def rational_to_json(f) -> str:
 
 
 def rational_from_json(s: str) -> Fraction:
-    """A rational written as a "p/q" string; a JSON number is a TypeError,
-    as a float would bring a binary double into exact input."""
+    """A rational written as a "p/q" or "p" string of ASCII digits, with an
+    optional leading "-"; a JSON number is a TypeError, as a float would
+    bring a binary double into exact input, and any other string (a decimal,
+    an exponent, a "+", whitespace, "_" or non-ASCII digits) a ValueError."""
     if not isinstance(s, str):
         raise TypeError(f'a rational must be a "p/q" string, not {s!r}')
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+        raise ValueError(f'a rational must be a "p/q" string, not {s!r}')
     return Fraction(s)
 
 

@@ -902,6 +902,8 @@ def group_from_json(d: dict) -> MatrixGroup:
                              f"conductor <= {CONDUCTOR_CAP}, not {n} and {L}")
         gens = [matrix_from_json(m).embed(L) for m in d["generators"]]
         name = d.get("name")
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"a group name must be a string, not {name!r}")
     except KeyError as exc:
         raise ValueError(f"JSON group lacks the key {exc}") from None
     except TypeError as exc:

@@ -345,7 +345,7 @@ def compute_threshold(jobs: int = 1) -> ThresholdResult:
     def counts_for(label):
         arr = catalog_arrangement(label)
         return label, {
-            "planes": len(arr.members_of_dim(2)),
+            "planes": arr.dim_counts().get(2, 0),
             "total": arr.size,
         }
 

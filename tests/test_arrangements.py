@@ -27,6 +27,7 @@ from rotref.groups import (
     catalog_group,
     closure,
     direct_sum,
+    enumerate_degree4_catalog,
     fixed_space,
     gmpn_generators,
     group_from_json,
@@ -377,9 +378,10 @@ def test_reflection_arrangement_computes_no_closure():
 
 
 def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
-    # the search runs mod p, and each member but the four starting mirrors
-    # is then built by one exact move from its parent: 2099 RREFs, where
-    # the exact search made 7984
+    # the search runs mod p and counts the members from their keys; the
+    # first read of `subspaces` builds each member but the four starting
+    # mirrors by one exact move from its parent: 2099 RREFs, where the
+    # exact search made 7984, and later reads build nothing
     g = catalog_group("H4")
     for s in g.generators:
         fixed_space(s)  # the starting mirrors, cached on their generators
@@ -394,7 +396,50 @@ def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
     monkeypatch.setattr(Subspace, "from_rows", staticmethod(counted))
     arr = reflection_arrangement(g)
     assert arr.size == 2103
+    assert arr.dim_counts() == {0: 1, 1: 1320, 2: 722, 3: 60}
+    assert calls == 0
+    arr.subspaces
     assert calls == 2103 - 4
+    arr.subspaces
+    assert calls == 2103 - 4
+
+
+def test_threshold_builds_no_exact_flat(monkeypatch):
+    # the threshold counts each group's members from their F_p keys, whose
+    # lengths are the exact dimensions by (b) of reflection_arrangement
+    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+    for label in BIG_FACTOR_LABELS:
+        for s in catalog_group(label).generators:
+            fixed_space(s)  # generating_reflections classifies by these
+    calls = 0
+
+    def counted(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Subspace, "from_rows", staticmethod(counted(Subspace.from_rows)))
+    monkeypatch.setattr(arrangements, "_meet_hyperplane", counted(arrangements._meet_hyperplane))
+    res = verify.compute_threshold()
+    assert calls == 0
+    assert res.per_group["H4"] == {"planes": 722, "total": 2103}
+    assert (res.m0_planes, res.m0_total) == (721, 2101)
+
+
+def test_reflection_arrangement_dims_match_exact_flats():
+    # the member dimensions come from the F_p keys before any exact flat is
+    # built; the exact flats, once built, must have the same dimensions
+    for g in enumerate_degree4_catalog(8):
+        arr = reflection_arrangement(g)
+        dims = arr.dims
+        L2 = 2 * arr.conductor
+        wide = arr.embed(L2)
+        assert callable(arr._subspaces) and callable(wide._subspaces)
+        assert wide.dims == dims and wide.size == arr.size
+        assert tuple(s.dim for s in arr.subspaces) == dims, g.name
+        assert [s.key for s in wide.subspaces] == [s.embed(L2).key for s in arr.subspaces]
 
 
 def test_reflection_arrangement_from_non_reflection_generators():

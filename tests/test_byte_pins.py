@@ -176,6 +176,11 @@ CLI_JSON_SHA256 = {
     # groups only, and theorem lost --k-max
     "theorem --m 3": (0, "1db3a7eb8ebdf65301045045709c1cf828b164aabc84520867bca3504b175463"),
     "theorem --m 721": (0, "992655517722e8e1baf4ac9a9b663c63586df659083c0c63fabaa36f31ad4e0c"),
+    # recorded before reflection arrangements came to count their members
+    # from the F_p keys and to build exact flats only when they are read
+    "threshold": (0, "712918125f67574c187b965f1794a7bd3fc0a9c97837733598bd988bc3569ca7"),
+    "dichotomy --p 5 --q 7": (0, "b0f6cd50b374858eaefa5ec9395c006e84a6930b2af9f79cc6f13c9598b5cf00"),
+    "dichotomy --p 8 --q 8": (0, "57f8721bf009ac540122ffa8ca03ff37fe280b81fd9eaaede024ec26dcfb20d4"),
 }
 
 

@@ -323,6 +323,13 @@ def _sign_group(ambient=1, rows=1, cols=1):
         _set_entry("conductor", 4.0),
         _set_entry("coeffs", [1.0, "0/1"]),
         _set_entry("coeffs", [1, 0]),
+        _set_entry("coeffs", [" 1", "0/1"]),
+        _set_entry("coeffs", ["1.5", "0/1"]),
+        _set_entry("coeffs", ["1e5", "0/1"]),
+        _set_entry("coeffs", ["\u0661/1", "0/1"]),
+        _set_entry("coeffs", ["1_0/3", "0/1"]),
+        _set_entry("coeffs", ["+1/2", "0/1"]),
+        lambda d: dict(d, name=5),
     ],
     ids=[
         "no-generators",
@@ -344,6 +351,13 @@ def _sign_group(ambient=1, rows=1, cols=1):
         "entry-conductor-float",
         "coefficient-float",
         "coefficients-integers",
+        "coefficient-padded",
+        "coefficient-decimal",
+        "coefficient-exponent",
+        "coefficient-arabic-indic-digit",
+        "coefficient-underscore",
+        "coefficient-plus-sign",
+        "name-integer",
     ],
 )
 def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
@@ -374,6 +388,19 @@ _NOT_AN_INT = st.one_of(
 )
 
 
+# strings that Fraction reads as a number but that are not "p/q" or "p" in
+# ASCII digits with an optional leading "-"
+_LOOSE_NUMBER = st.one_of(
+    st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 9)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-3, 3)),
+    st.builds("+{}/{}".format, st.integers(0, 9), st.integers(1, 9)),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t"]),
+              st.sampled_from(["1", "-1/2", "0"]), st.sampled_from(["", " ", "\n"])
+              ).filter(lambda s: s != s.strip()),
+    st.sampled_from(["1_0/3", "1/1_0", "\u0661/1", "1/\u0663", "\uff11"]),
+)
+
+
 def _bad_int(cap):
     return st.one_of(_NOT_AN_INT, st.integers(max_value=0), st.integers(min_value=cap + 1))
 
@@ -391,6 +418,8 @@ _WIRE_CORRUPTIONS = st.one_of(
     # zero or negative denominator
     _edit(st.builds("{}/{}".format, st.integers(-9, 9), st.integers(max_value=0)),
           "generators", _GEN, "entries", _ENTRY, "coeffs", st.integers(0, 1)),
+    # a coefficient written as a loose number
+    _edit(_LOOSE_NUMBER, "generators", _GEN, "entries", _ENTRY, "coeffs", st.integers(0, 1)),
     # non-square generator
     _edit(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda rc: rc[0] != rc[1]).map(
               lambda rc: {"rows": rc[0], "cols": rc[1], "entries": [_entry()] * (rc[0] * rc[1])}),
