@@ -5,16 +5,18 @@ The isotropy arrangement of a finite linear group G collects the joint fixed
 spaces of its nontrivial isotropy (vector-stabilizer) subgroups.  It is
 computed here from the element fixed spaces: those "seed" subspaces are
 closed under intersection into the fixed-space lattice, one seed at a time,
-and every lattice member belongs to the arrangement (see
-isotropy_arrangement).  The provenance of either kind of arrangement is
-built the first time it is read, from which listed spaces (seeds or
-hyperplanes) contain each member.
+and every lattice member belongs to the arrangement.  The closure runs on
+the seeds' images over F_p, where a lemma makes reduction a lattice
+isomorphism; one exact basis per member is built when the members are
+first read (see isotropy_arrangement).  The provenance of either kind of
+arrangement is built the first time it is read, from which listed spaces
+(seeds, compared over F_p, or hyperplanes) contain each member.
 
-Meets and containments go through rotref.linalg, which owns their modular
-certificates.  The reflection arrangement's flat search runs on images mod
-p (cyclo._ModImage) behind a lemma, which also gives each flat's dimension;
-one exact basis per flat is built when the members are first read (see
-reflection_arrangement).
+Exact meets and containments go through rotref.linalg, which owns their
+modular certificates.  The reflection arrangement's flat search runs on
+images mod p (cyclo._ModImage) behind a lemma, which also gives each flat's
+dimension; one exact basis per flat is built when the members are first
+read (see reflection_arrangement).
 
 All outputs are deterministic: members are canonically sorted by dimension
 and then by their canonical basis; witnesses are chosen by that order.
@@ -153,25 +155,6 @@ def _reflection_vector(s: MatrixF, normal):
     return tuple(c * scale for c in col)
 
 
-def _seed_fixed_spaces(group: MatrixGroup):
-    """Distinct element fixed spaces (identity excluded), with the smallest
-    fixing element index per seed, in first-discovery order.  An element
-    whose fixed space is 0 by its residues (MatrixGroup.fixed_dims) gives
-    the zero seed, with neither its exact matrix nor a kernel built."""
-    n, L = group.ambient_dim, group.conductor
-    seeds = []
-    seen = set()
-    elems = group.elements
-    for i, d in enumerate(group.fixed_dims()):
-        if i == 0:
-            continue
-        fs = fixed_space(elems[i]) if d else Subspace.zero_space(n, L)
-        if fs.key not in seen:
-            seen.add(fs.key)
-            seeds.append((fs, i))
-    return seeds
-
-
 def _containing(spaces, u) -> list:
     """Positions in `spaces` of the spaces containing u.  A space of u's
     dimension contains u only when it equals u."""
@@ -180,6 +163,17 @@ def _containing(spaces, u) -> list:
         i
         for i, s in enumerate(spaces)
         if (s.dim > d and subspace_contains(s, u)) or (s.dim == d and s.key == u.key)
+    ]
+
+
+def _kernel_mod_p(key, n: int, p: int) -> list:
+    """A basis over F_p of the common kernel of the rows of the RREF `key`:
+    one vector per free column f, with 1 at f and -row[f] at each pivot."""
+    pivots = [row.index(1) for row in key]  # each row's first nonzero is 1
+    return [
+        [-key[pivots.index(c)][f] % p if c in pivots else int(c == f) for c in range(n)]
+        for f in range(n)
+        if f not in pivots
     ]
 
 
@@ -196,42 +190,88 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     isotropy fixed space; conversely each of those is a meet of element
     fixed spaces.
 
+    The lattice is closed over F_p (cyclo._ModImage, p = 1 mod L), by this
+    lemma (README, "Isotropy lattice mod p").  G has p-integral entries
+    (the residue map refuses a denominator divisible by p), reduction mod p
+    is injective on G (_Elements confirms it), and |G| <= cap < p.  For a
+    subgroup H <= G, pi_H = (1/|H|) sum(h, h in H) is the projector onto
+    Fix(H); it is p-integral and reduces to the projector onto Fix(H-bar),
+    and rank equals trace on both sides, each less than p, so dim Fix(H) =
+    dim Fix(H-bar).  Fix(S) = Fix(<S>) for any subset S; write U-bar for
+    Fix(S-bar), the common kernel of the residues, for a member U = Fix(S).
+    Then U meet U' = Fix(S + S') gives (U meet U')-bar = U-bar meet U'-bar,
+    with dim U-bar = dim U, so U-bar = U'-bar only when U = U' (else the
+    meet would have the dimension of both), and U contains U' exactly when
+    U-bar contains U'-bar (both say that the meet is U').  So U -> U-bar is
+    a lattice isomorphism: it decides equality, containment and meets of
+    members exactly.  It is a theorem, not a filter; no member is
+    confirmed exactly.
+
+    Each member U-bar is keyed by the F_p RREF of rows spanning its
+    annihilator: a seed by the rows of g - I mod p (_Elements.fixed_keys),
+    a meet by the RREF of its two parents' stacked keys.  Its dimension is
+    n minus the key's length.  s contains u when every row of s's key kills
+    the F_p basis read off u's key (_kernel_mod_p).
+
     The closure adds one seed at a time.  If M is closed under meets, so is
     M + {s} + {s meet u : u in M}, since (s meet u) meet v = s meet (u meet
-    v).  A seed already in M adds nothing, and s meet u = u when s contains
-    u.  Seeds are taken in order of decreasing dimension, so most of the
-    smaller ones are already meets of larger ones when their turn comes.
+    v).  A seed already in M adds nothing, and s meet u = u, already in M,
+    when s contains u.  Seeds are taken in order of decreasing dimension, so
+    most of the smaller ones are already meets of larger ones when their
+    turn comes.  Each new member records how it was found: as the seed of
+    element i (the smallest index with that key), or as the meet of members
+    a and b.
+
+    The member dimensions come from the keys.  The exact bases are built the
+    first time `subspaces` is read, once per member in discovery order: a
+    seed's is fixed_space(g_i), a meet's the subspace_intersect of its two
+    exact parents.  The route uses no reflection, so it stays an oracle for
+    reflection_arrangement.
 
     The provenance of a member lists one fixing element per seed containing
     it; the common fixed space of those elements is the member itself.  It
-    is built the first time `provenance` is read (_seed_provenance).
+    is read mod p the first time `provenance` is read: a seed is listed
+    when its key equals the member's, or when it has the larger dimension
+    and contains the member.
     """
     n, L = group.ambient_dim, group.conductor
-    seeds = _seed_fixed_spaces(group)
-    members = {}
-    for s, _ in sorted(seeds, key=lambda seed: -seed[0].dim):
-        if s.key in members:
-            continue
-        meets = [s] + [
-            subspace_intersect(s, u)
-            for u in members.values()
-            if not subspace_contains(s, u)
-        ]
-        for w in meets:
-            members.setdefault(w.key, w)
-    order = tuple(sorted(members.values(), key=lambda u: u.sort_key()))
-    dims = tuple(u.dim for u in order)
-    return Arrangement(n, L, dims, order, lambda ms: _seed_provenance(seeds, ms))
+    elems = group.elements
+    p = elems.p
+    seeds = {}  # F_p key -> smallest element index, in increasing index
+    for i, key in enumerate(elems.fixed_keys()[1:], 1):
+        seeds.setdefault(key, i)
+    members = {}  # F_p key -> how it was found, in discovery order
+    for s, i in sorted(seeds.items(), key=lambda seed: len(seed[0])):
+        if s not in members:
+            a = len(members)
+            new = [(elems.img.rref(u + s), (a, b)) for b, u in enumerate(members)]
+            for key, move in [(s, (None, i))] + new:
+                members.setdefault(key, move)
+    canonical = []  # the member keys in canonical order, set by build()
 
+    def build():
+        exact = []
+        for a, b in members.values():
+            exact.append(
+                fixed_space(elems[b]) if a is None else subspace_intersect(exact[a], exact[b])
+            )
+        ranked = sorted(zip(exact, members), key=lambda pair: pair[0].sort_key())
+        canonical[:] = [key for _, key in ranked]  # idempotent: threads may build at once
+        return tuple(u for u, _ in ranked)
 
-def _seed_provenance(seeds, members) -> tuple:
-    """For each of `members`, the fixing element of every seed containing
-    it, in increasing element order."""
-    spaces = [s for s, _ in seeds]
-    return tuple(
-        {"fixing_elements": sorted(seeds[i][1] for i in _containing(spaces, u))}
-        for u in members
-    )
+    def provenance(_):
+        out = []
+        for key in canonical:
+            basis = _kernel_mod_p(key, n, p)
+            out.append({"fixing_elements": [
+                i for s, i in seeds.items()
+                if s == key or len(s) < len(key) and not any(
+                    sum(map(mul, row, v)) % p for row in s for v in basis
+                )
+            ]})
+        return tuple(out)
+
+    return Arrangement(n, L, tuple(sorted(n - len(k) for k in members)), build, provenance)
 
 
 def _trace(g: MatrixF) -> CycNum:

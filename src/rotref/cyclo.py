@@ -33,7 +33,6 @@ __all__ = [
     "real_imag_parts",
     "real_sign",
     "is_positive_real",
-    "rational_to_json",
     "rational_from_json",
     "int_from_json",
     "cyc_to_json",
@@ -669,11 +668,6 @@ def is_positive_real(a: CycNum) -> bool:
 # JSON encoding
 # ---------------------------------------------------------------------------
 
-def rational_to_json(f) -> str:
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def rational_from_json(s: str) -> Fraction:
     """A rational written as a "p/q" or "p" string of ASCII digits, with an
     optional leading "-"; a JSON number is a TypeError, as a float would
@@ -694,9 +688,11 @@ def int_from_json(v) -> int:
 
 
 def cyc_to_json(a: CycNum) -> dict:
+    """Each coefficient num[k]/den as "p/q" in lowest terms, q > 0."""
+    den = a.den
     return {
         "conductor": a.conductor,
-        "coeffs": [rational_to_json(c) for c in a.coeffs],
+        "coeffs": [f"{v // g}/{den // g}" for v in a.num for g in (math.gcd(v, den),)],
     }
 
 

@@ -136,8 +136,16 @@ class MatrixGroup:
         return {g.key for g in self.elements}
 
     def fixed_dims(self) -> tuple:
-        """dim Fix(g) for every element g, in element order, from residues."""
-        return self.elements.fixed_dims()
+        """dim Fix(g) = n - rank(g - I mod p) for every element g, in element
+        order: n minus the length of its key (_Elements.fixed_keys).
+
+        Let k be the order of g and P = (1/k)(I + g + ... + g^(k-1)).  P is
+        the projector onto Fix(g), so dim Fix(g) = rank P = tr P.  As k
+        divides |G|, and |G| <= cap < p, P is p-integral, and its image P' is
+        the projector onto ker(g - I mod p): g P' = P', and P' v = v when g
+        fixes v mod p.  So dim ker(g - I mod p) = rank P' = tr P' = tr P
+        mod p, and both dimensions lie in [0, n] with n < p."""
+        return tuple(self.ambient_dim - len(k) for k in self.elements.fixed_keys())
 
     def element_classes(self) -> tuple:
         """The ElementClass of every element, in element order."""
@@ -221,7 +229,7 @@ class _Elements(Sequence):
         )
         self._exact = [None] * len(self.residues)
         self._exact[0] = MatrixF.identity(n, L)
-        self._dims = None
+        self._keys = None
         if group.known_order is None:
             self._confirm()
         elif len(self.residues) != group.known_order:
@@ -268,24 +276,17 @@ class _Elements(Sequence):
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def fixed_dims(self) -> tuple:
-        """dim Fix(g) = n - rank(g - I mod p) for every element g.
-
-        Let k be the order of g and P = (1/k)(I + g + ... + g^(k-1)).  P is
-        the projector onto Fix(g), so dim Fix(g) = rank P = tr P.  As k
-        divides |G|, and |G| <= cap < p, P is p-integral, and its image P' is
-        the projector onto ker(g - I mod p): g P' = P', and P' v = v when g
-        fixes v mod p.  So dim ker(g - I mod p) = rank P' = tr P' = tr P
-        mod p, and both dimensions lie in [0, n] with n < p."""
-        if self._dims is None:
-            n, rank = self.n, self.img.rank
-            self._dims = tuple(
-                n - rank([
-                    [r[i * n + j] - (i == j) for j in range(n)] for i in range(n)
-                ])
+    def fixed_keys(self) -> tuple:
+        """For every element g, the F_p RREF (cyclo._ModImage.rref) of the
+        rows of g - I mod p: a canonical key of the annihilator of
+        ker(g - I mod p)."""
+        if self._keys is None:
+            n, rref = self.n, self.img.rref
+            self._keys = tuple(
+                rref([[r[i * n + j] - (i == j) for j in range(n)] for i in range(n)])
                 for r in self.residues
             )
-        return self._dims
+        return self._keys
 
 
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP, name=None) -> MatrixGroup:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotref import arrangements, verify
+from rotref import arrangements, groups, verify
 from rotref.cyclo import CycNum, real_imag_parts, zeta_power
 from rotref.cli import main
 from rotref.linalg import (
@@ -211,25 +211,35 @@ def test_isotropy_matches_naive_meet_fixpoint(make, origin_is_seed):
 
 
 def test_isotropy_closure_counts_on_f4(monkeypatch):
-    # one seed at a time, largest first: 2075 meets on F4, where a closure
-    # of every member against every generating seed made 5940
-    group = catalog_group("F4")
+    # the lattice is closed over F_p, so building it makes no exact call;
+    # the first read of `subspaces` makes one exact basis per member, a
+    # kernel for each of the 24 hyperplane seeds and one intersection for
+    # each of the 243 meets, and the provenance is read mod p; a fresh
+    # group, as other tests build every element of the cached catalog one
+    group = MatrixGroup(catalog_group("F4").generators, name="F4", order=1152)
     group.ensure_elements()
-    counts = {"subspace_intersect": 0, "subspace_contains": 0}
-    for name in counts:
-        def counted(*args, _fn=getattr(arrangements, name), _name=name):
+    counts = {"subspace_intersect": 0, "subspace_contains": 0, "kernel": 0}
+    for module, name in (
+        (arrangements, "subspace_intersect"),
+        (arrangements, "subspace_contains"),
+        (groups, "kernel"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(arrangements, name, counted)
+        monkeypatch.setattr(module, name, counted)
     arr = isotropy_arrangement(group)
     assert arr.dim_counts() == {0: 1, 1: 120, 2: 122, 3: 24}
-    assert counts["subspace_intersect"] <= 2100
-    # one containment test per meet tried: no provenance scan yet
-    assert callable(arr._provenance)
-    assert counts["subspace_contains"] <= 2500
+    assert counts == {"subspace_intersect": 0, "subspace_contains": 0, "kernel": 0}
+    assert callable(arr._subspaces) and callable(arr._provenance)
+    assert arr.size == 267
     arr.provenance
-    assert counts["subspace_contains"] > 2500
+    assert counts["subspace_contains"] == 0
+    assert counts["subspace_intersect"] <= 267
+    assert counts["kernel"] <= 24
+    # the 24 seeds' elements and their parent chains, of the 1152
+    assert sum(g is not None for g in group.elements._exact) <= 118
 
 
 def test_isotropy_provenance_built_on_read():
@@ -240,6 +250,58 @@ def test_isotropy_provenance_built_on_read():
     prov = embedded.provenance
     assert len(prov) == arr.size and not callable(arr._provenance)
     assert arr.provenance is prov
+
+
+_H = [[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 1, 0], [1, 0, 0, 2]]  # det 11
+
+
+def _rational_inverse(rows):
+    """The inverse of an invertible rational matrix, by Gauss-Jordan."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [r[n:] for r in a]
+
+
+@pytest.mark.parametrize("label", ["B3xA1", "I2(5)xI2(8)"])
+def test_isotropy_in_a_non_orthogonal_position_with_denominators(label):
+    # Fix(h g h^-1) = h.Fix(g), so the members of hGh^-1 are h applied to
+    # those of G; h^-1 has denominator 11, so the residues mod p of the
+    # conjugated elements carry an inverted denominator
+    g = catalog_group(label)
+    L = g.conductor
+
+    def matrix(rows):
+        return MatrixF.from_rows([[CycNum.rational(L, x) for x in r] for r in rows])
+
+    h, h_inv = matrix(_H), matrix(_rational_inverse(_H))
+    assert (h @ h_inv).is_identity() and h_inv.den == 11
+    moved = MatrixGroup([h @ s @ h_inv for s in g.generators], order=g.order)
+    arr = isotropy_arrangement(moved)
+    assert arr.key_set() == {
+        Subspace.from_rows(4, [h.apply(row) for row in u.basis], L).key
+        for u in isotropy_arrangement(g).subspaces
+    }
+    for s, prov in zip(arr.subspaces, arr.provenance):
+        assert _joint_fixed_space(moved, prov["fixing_elements"]) == s
+
+
+def test_isotropy_dims_match_exact_members():
+    # the member dimensions come from the F_p keys before any exact basis
+    # is built; the exact members, once built, must have the same ones
+    cases = enumerate_degree4_catalog(8) + [realified_gmpn_group(m) for m in range(1, 13)]
+    for g in cases:
+        arr = isotropy_arrangement(g)
+        dims = arr.dims
+        assert callable(arr._subspaces)
+        assert tuple(s.dim for s in arr.subspaces) == dims, g.name
 
 
 def test_lemma_ag_leaves_wreath_provenance_unbuilt(monkeypatch):

@@ -148,6 +148,10 @@ CLI_JSON_SHA256 = {
     "arrangement compute H3xA1 --method isotropy": (0, "78ad5bad88322d8db9085df62ead84e1a5cd5f7899736427e58473a9bd42b306"),
     "arrangement compute I2(5)xI2(8) --method isotropy": (0, "97befbf48440ce699b5aeb222cae8af29d7ebf75197cb60947e5e810f7135130"),
     "arrangement compute I2(7)xI2(8) --method isotropy": (0, "d05458ed460884399c402413a87f7a05c363f4268a4e9740de6328bd04ec2fa0"),
+    # recorded before the isotropy lattice moved to F_p
+    "arrangement compute B4 --method isotropy": (0, "db73adda54e9c7829faed056acdae97c4fad643fe43a2805ba8ee41a8e9f2b98"),
+    "arrangement compute D4 --method isotropy": (0, "319a73e48d602efa17ac93fb4f7da12f1313e26e22e3e3e2ab0b05cdd0833b24"),
+    "arrangement compute F4 --method isotropy": (0, "f7a14cc5d926d6f046e5694cf36879ad04dee119af403f7101aa15188de75453"),
     "catalog list --orders": (0, "4b72068058410ff80ae58eae12b1fb69aba1e35592ad38c17fb65e882d77746a"),
     "group show H3": (0, "4c99e301cf0749cdb077a6aee879d699cb17efec77f11d5f16e6eedfd20dd941"),
     "lemma-ag --m 10": (0, "731eaa85f22cc21ce16a72dcd91da47b4d00ea40ff8b1c4f3a372ecd113db49f"),

@@ -461,6 +461,19 @@ def test_json_roundtrip():
     assert cyc_from_json(d) == a
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([4, 12, 20]),
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=8, max_size=8),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_json_coefficients_match_the_fraction_formula(L, nums, den):
+    # zero, negative and den > 1 coefficients, each written in lowest terms
+    a = CycNum.make(L, nums[: euler_phi(L)], den)
+    old = [f"{Fraction(c).numerator}/{Fraction(c).denominator}" for c in a.coeffs]
+    assert cyc_to_json(a)["coeffs"] == old
+
+
 def test_json_rejects_bad_length():
     with pytest.raises(ValueError):
         cyc_from_json({"conductor": 4, "coeffs": ["1/1"]})
