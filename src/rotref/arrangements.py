@@ -8,15 +8,16 @@ closed under intersection into the fixed-space lattice, one seed at a time,
 and every lattice member belongs to the arrangement.  The closure runs on
 the seeds' images over F_p, where a lemma makes reduction a lattice
 isomorphism; one exact basis per member is built when the members are
-first read (see isotropy_arrangement).  The provenance of either kind of
-arrangement is built the first time it is read, from which listed spaces
-(seeds, compared over F_p, or hyperplanes) contain each member.
+first read (see isotropy_arrangement).  The reflection arrangement's flat
+search runs on images mod p (cyclo._ModImage) behind a lemma, which also
+gives each flat's dimension; one exact basis per flat is built when the
+members are first read (see reflection_arrangement).
 
-Exact meets and containments go through rotref.linalg, which owns their
-modular certificates.  The reflection arrangement's flat search runs on
-images mod p (cyclo._ModImage) behind a lemma, which also gives each flat's
-dimension; one exact basis per flat is built when the members are first
-read (see reflection_arrangement).
+Each route's lemma makes reduction mod p preserve containment of members,
+so every containment between members is decided from their F_p keys
+(_kills).  The provenance of either arrangement, which listed spaces (seeds
+or hyperplanes) contain each member, is read from the keys the first time
+it is read.  Exact meets go through rotref.linalg.
 
 All outputs are deterministic: members are canonically sorted by dimension
 and then by their canonical basis; witnesses are chosen by that order.
@@ -43,7 +44,7 @@ from rotref.linalg import (
     Subspace,
     intersection_dim,
     meets_nontrivially,
-    subspace_contains,
+    subspace_contains,  # unused here; perfbench's install probe pins this name
     subspace_intersect,
     subspace_to_json,
     _dot,
@@ -155,17 +156,6 @@ def _reflection_vector(s: MatrixF, normal):
     return tuple(c * scale for c in col)
 
 
-def _containing(spaces, u) -> list:
-    """Positions in `spaces` of the spaces containing u.  A space of u's
-    dimension contains u only when it equals u."""
-    d = u.dim
-    return [
-        i
-        for i, s in enumerate(spaces)
-        if (s.dim > d and subspace_contains(s, u)) or (s.dim == d and s.key == u.key)
-    ]
-
-
 def _kernel_mod_p(key, n: int, p: int) -> list:
     """A basis over F_p of the common kernel of the rows of the RREF `key`:
     one vector per free column f, with 1 at f and -row[f] at each pivot."""
@@ -175,6 +165,27 @@ def _kernel_mod_p(key, n: int, p: int) -> list:
         for f in range(n)
         if f not in pivots
     ]
+
+
+def _kills(rows, vectors, p: int) -> bool:
+    """Whether every row of `rows` kills every vector of `vectors` mod p:
+    whether the span of `vectors` lies in the common kernel of `rows`."""
+    return not any(sum(map(mul, a, v)) % p for a in rows for v in vectors)
+
+
+def _lazy_arrangement(n: int, L: int, dims, keys, build, provenance) -> Arrangement:
+    """The Arrangement of members with F_p keys `keys`, dimensions `dims` and
+    exact bases build(), all in discovery order.  The first read of
+    `subspaces` sorts the members canonically and records their keys in that
+    order; the first read of `provenance` returns provenance(those keys)."""
+    canonical = []
+
+    def members():
+        ranked = sorted(zip(build(), keys), key=lambda pair: pair[0].sort_key())
+        canonical[:] = [key for _, key in ranked]  # idempotent: threads may build at once
+        return tuple(u for u, _ in ranked)
+
+    return Arrangement(n, L, tuple(sorted(dims)), members, lambda _: provenance(canonical))
 
 
 def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
@@ -211,7 +222,7 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     annihilator: a seed by the rows of g - I mod p (_Elements.fixed_keys),
     a meet by the RREF of its two parents' stacked keys.  Its dimension is
     n minus the key's length.  s contains u when every row of s's key kills
-    the F_p basis read off u's key (_kernel_mod_p).
+    the F_p basis read off u's key (_kernel_mod_p, _kills).
 
     The closure adds one seed at a time.  If M is closed under meets, so is
     M + {s} + {s meet u : u in M}, since (s meet u) meet v = s meet (u meet
@@ -247,7 +258,6 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
             new = [(elems.img.rref(u + s), (a, b)) for b, u in enumerate(members)]
             for key, move in [(s, (None, i))] + new:
                 members.setdefault(key, move)
-    canonical = []  # the member keys in canonical order, set by build()
 
     def build():
         exact = []
@@ -255,23 +265,19 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
             exact.append(
                 fixed_space(elems[b]) if a is None else subspace_intersect(exact[a], exact[b])
             )
-        ranked = sorted(zip(exact, members), key=lambda pair: pair[0].sort_key())
-        canonical[:] = [key for _, key in ranked]  # idempotent: threads may build at once
-        return tuple(u for u, _ in ranked)
+        return exact
 
-    def provenance(_):
+    def provenance(canonical):
         out = []
         for key in canonical:
             basis = _kernel_mod_p(key, n, p)
             out.append({"fixing_elements": [
                 i for s, i in seeds.items()
-                if s == key or len(s) < len(key) and not any(
-                    sum(map(mul, row, v)) % p for row in s for v in basis
-                )
+                if s == key or len(s) < len(key) and _kills(s, basis, p)
             ]})
         return tuple(out)
 
-    return Arrangement(n, L, tuple(sorted(n - len(k) for k in members)), build, provenance)
+    return _lazy_arrangement(n, L, [n - len(k) for k in members], list(members), build, provenance)
 
 
 def _trace(g: MatrixF) -> CycNum:
@@ -286,8 +292,9 @@ def _reject_infinite_pairs(refl):
     trace is an algebraic integer.  The powers 1, zeta_L, ..., of the
     canonical form are an integral basis of Z[zeta_L], so a trace is an
     algebraic integer exactly when its denominator is 1.  That test rejects
-    most infinite dihedral pairs at once; the exact order, bounded by the
-    closure cap, catches the rest (a shear has trace 2)."""
+    most infinite dihedral pairs at once; the order, taken mod p within the
+    closure cap and confirmed exactly (element_order), catches the rest (a
+    shear has trace 2)."""
     elems = list(refl)
     elems += [s @ t for i, s in enumerate(refl) for t in refl[i + 1:]]
     if any(_trace(g).den != 1 for g in elems):
@@ -353,6 +360,7 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         Fix(<H_X, H_Y>).  Hence red(X meet Y) = red X meet red Y and
         red(s.X) = s-bar.red X.  Also X != Y implies red X != red Y: else
         red(X meet Y) = red X, so X meet Y has the dimension of X and of Y.
+        So X contains Y exactly when red X contains red Y (both say X meet Y = Y).
 
     So the search over F_p visits exactly the reductions of the exact flats,
     in the same order: it starts from the mirrors ker(s-bar - I), makes
@@ -393,24 +401,34 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
 
     The provenance of a member lists the positions, in the canonical order
     of the arrangement's hyperplanes (its members of dimension n - 1), of
-    every hyperplane containing it.  It depends on the members alone, and
-    is built the first time `provenance` is read (_hyperplane_provenance)."""
+    every hyperplane containing it, read off the F_p keys the first time
+    `provenance` is read: by (c), H contains X exactly when the normal of
+    red H, the kernel of its key (_kernel_mod_p), kills X's key."""
     refl = generating_reflections(w)
     if refl is None:
         raise ValueError("group is not generated by its reflections")
     _reject_infinite_pairs(refl)
     n, L = w.ambient_dim, w.conductor
-    moves, dims = _flat_moves(refl, _mod_image(L))
-    return Arrangement(
-        n, L, tuple(sorted(dims)), lambda: _exact_flats(n, L, refl, moves),
-        lambda ms: _hyperplane_provenance(n, ms),
+    img = _mod_image(L)
+    moves, keys = _flat_moves(refl, img)
+
+    def provenance(canonical):
+        normals = [_kernel_mod_p(key, n, img.p) for key in canonical if len(key) == n - 1]
+        return tuple(
+            {"hyperplanes": [j for j, h in enumerate(normals) if _kills(h, key, img.p)]}
+            for key in canonical
+        )
+
+    return _lazy_arrangement(
+        n, L, [len(key) for key in keys], keys,
+        lambda: _exact_flats(n, L, refl, moves), provenance,
     )
 
 
-def _exact_flats(n: int, L: int, refl, moves) -> tuple:
-    """The exact flats of reflection_arrangement in canonical order: each
-    flat's basis is built in discovery order, by applying the one move of
-    `moves` that found it exactly to its parent's basis."""
+def _exact_flats(n: int, L: int, refl, moves) -> list:
+    """The exact flats of reflection_arrangement in discovery order: each
+    flat's basis is built by applying the one move of `moves` that found it
+    exactly to its parent's basis."""
     mirrors = []
     for s in refl:
         h = fixed_space(s)
@@ -432,29 +450,23 @@ def _exact_flats(n: int, L: int, refl, moves) -> tuple:
             flats.append(Subspace.from_rows(n, rows, L))
         else:
             flats.append(_meet_hyperplane(u, ts))
-    return tuple(sorted(flats, key=lambda u: u.sort_key()))
+    return flats
 
 
 def _mirror_mod_p(img, s: MatrixF):
     """The mirror of the reflection s mod p, as (key, f, v, involution).
 
     I - s-bar has rank 1 by (b) of reflection_arrangement for the group
-    <s>, so I - s-bar = v f^T, with f its first nonzero row, and s-bar.x =
-    x - (f . x) v.  The mirror {x : f . x = 0} is spanned by f_c e_j - f_j
-    e_c, j != c, for f_c != 0, and keyed by its F_p RREF."""
+    <s>, so I - s-bar = v f^T, with f its first nonzero row scaled to a
+    leading 1 at column c, v column c, and s-bar.x = x - (f . x) v.  The
+    mirror {x : f . x = 0} is the kernel of f, keyed by its F_p RREF."""
     n, p = s.rows, img.p
     r = img.residues(s)
     d = [[(int(i == j) - r[i * n + j]) % p for j in range(n)] for i in range(n)]
-    f = next(row for row in d if any(row))
-    c = next(j for j, a in enumerate(f) if a)
-    inv = pow(f[c], -1, p)
-    v = [row[c] * inv % p for row in d]
-    span = [
-        [f[c] * (k == j) - f[j] * (k == c) for k in range(n)]
-        for j in range(n)
-        if j != c
-    ]
-    return img.rref(span), f, v, sum(map(mul, f, v)) % p == 2
+    normal = img.rref([next(row for row in d if any(row))])
+    f = normal[0]
+    v = [row[f.index(1)] for row in d]
+    return img.rref(_kernel_mod_p(normal, n, p)), f, v, sum(map(mul, f, v)) % p == 2
 
 
 def _flat_moves(refl, img) -> tuple:
@@ -462,8 +474,8 @@ def _flat_moves(refl, img) -> tuple:
     images mod p, each flat keyed by its F_p RREF.  Returns two lists over
     the flats in order of discovery: the move that found each, (None, i,
     False) for the mirror of refl[i], else (j, i, turn) for refl[i].u (turn)
-    or u meet H_i (not turn), with u the j-th flat; and the dimension of
-    each, the length of its key, which is exact by (b)."""
+    or u meet H_i (not turn), with u the j-th flat; and the key of each,
+    whose length is the flat's dimension by (b)."""
     p = img.p
     mirrors = [_mirror_mod_p(img, s) for s in refl]
     position = {}
@@ -508,15 +520,7 @@ def _flat_moves(refl, img) -> tuple:
             ]
             visit(img.rref(cut), (qi, i, False))
         qi += 1
-    return moves, [len(key) for key in flats]
-
-
-def _hyperplane_provenance(n: int, members) -> tuple:
-    """For each of the canonically ordered `members` of a reflection
-    arrangement in dimension n, the positions among its hyperplanes of
-    every hyperplane containing it."""
-    hyperplanes = [u for u in members if u.dim == n - 1]
-    return tuple({"hyperplanes": _containing(hyperplanes, u)} for u in members)
+    return moves, flats
 
 
 def arrangement_contains(big: Arrangement, small: Arrangement):

@@ -298,15 +298,27 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP, name=None) -> MatrixGrou
 
 
 def element_order(g: MatrixF) -> int:
-    ident = MatrixF.identity(g.rows, g.conductor)
-    p = g
-    n = 1
-    while p != ident:
-        p = p @ g
-        n += 1
-        if n > DEFAULT_CLOSURE_CAP:
+    """The order k of g's image mod p (cyclo._ModImage), confirmed by g^k = I
+    exactly.  Reduction is injective on a finite <g> (module docstring), so
+    that is g's order, and a failed confirmation means infinite order.  It
+    raises ClosureCapExceeded then, or when k passes the closure cap, and
+    ValueError when p divides g's denominator."""
+    n = g.rows
+    img = _mod_image(g.conductor)
+    r = img.residues(g)
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    cols = _columns(r, n)
+    image, k = r, 1
+    while image != ident:
+        image, k = _times(image, cols, n, img.p), k + 1
+        if k > DEFAULT_CLOSURE_CAP:
             raise ClosureCapExceeded("element order exceeds closure cap")
-    return n
+    power = g  # g^k by binary powering, from the leading bit of k
+    for bit in bin(k)[3:]:
+        power = power @ power @ g if bit == "1" else power @ power
+    if not power.is_identity():
+        raise ClosureCapExceeded("group not finite: an element has infinite order")
+    return k
 
 
 # ---------------------------------------------------------------------------

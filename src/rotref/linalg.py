@@ -8,11 +8,13 @@ reduced-row-echelon bases with pivots 1 and deterministic leftmost-pivot
 selection, so set equality of subspaces is structural equality of their
 fields.
 
-Rank, meet and containment each have one route, behind a one-sided modular
-certificate: entries are mapped through a ring homomorphism Z[zeta_L] -> F_p
-for a prime p = 1 (mod L) (cyclo._ModImage).  A nonzero image certifies a
-nonzero exact value, and a full rank mod p certifies the exact rank; a zero
-image or a short rank proves nothing, and the exact computation runs.
+Rank and meet each have one route, behind a one-sided modular certificate:
+entries are mapped through a ring homomorphism Z[zeta_L] -> F_p for a prime
+p = 1 (mod L) (cyclo._ModImage).  A nonzero image certifies a nonzero exact
+value, and a full rank mod p certifies the exact rank; a zero image or a
+short rank proves nothing, and the exact computation runs.  Containment is
+checked exactly; arrangement members decide theirs from their F_p keys
+instead (rotref.arrangements).
 
 Everything here is immutable and pure; values can be shared between threads.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from operator import mul
 
 from rotref.cyclo import (
     ConductorMismatch,
@@ -282,7 +283,7 @@ class Subspace:
 
     __slots__ = (
         "ambient_dim", "conductor", "basis", "pivot_cols",
-        "_key", "_ann", "_mod_basis", "_mod_ann",
+        "_key", "_ann", "_mod_basis",
     )
 
     def __init__(self, ambient_dim, conductor, basis, pivot_cols):
@@ -293,7 +294,6 @@ class Subspace:
         self._key = None
         self._ann = None
         self._mod_basis = None
-        self._mod_ann = None
 
     @staticmethod
     def from_rows(ambient_dim: int, rows, conductor: int | None = None) -> "Subspace":
@@ -378,15 +378,6 @@ class Subspace:
             img = _mod_image(self.conductor)
             rows = tuple(img.row(r) for r in self.basis)
             self._mod_basis = rows
-        return rows
-
-    def mod_annihilator_rows(self) -> tuple:
-        """The annihilator rows, reduced mod p like mod_basis_rows."""
-        rows = self._mod_ann
-        if rows is None:
-            img = _mod_image(self.conductor)
-            rows = tuple(img.row(r) for r in self.annihilator_rows())
-            self._mod_ann = rows
         return rows
 
     def reduce_vector(self, vec):
@@ -505,20 +496,11 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_contains(u: Subspace, v: Subspace) -> bool:
-    """Whether u contains v as a set: whether a . b = 0 for every
-    annihilator row a of u and basis row b of v.  The dots are first taken
-    mod p, from the cached rows cleared of denominators; a nonzero image
-    certifies a nonzero dot, so v is not in u.  When every image is zero,
-    each row of v is reduced exactly against u's basis."""
+    """Whether u contains v as a set: whether each basis row of v reduces
+    to zero against u's basis."""
     _check_ambient(u, v)
     if v.dim > u.dim:
         return False
-    p = _mod_image(u.conductor).p
-    rows = v.mod_basis_rows()
-    for a in u.mod_annihilator_rows():
-        for b in rows:
-            if sum(map(mul, a, b)) % p:
-                return False
     return all(u.contains_vector(row) for row in v.basis)
 
 

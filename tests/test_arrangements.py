@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotref import arrangements, groups, verify
+from rotref import arrangements, groups, linalg, verify
 from rotref.cyclo import CycNum, real_imag_parts, zeta_power
 from rotref.cli import main
 from rotref.linalg import (
@@ -270,11 +270,10 @@ def _rational_inverse(rows):
     return [r[n:] for r in a]
 
 
-@pytest.mark.parametrize("label", ["B3xA1", "I2(5)xI2(8)"])
-def test_isotropy_in_a_non_orthogonal_position_with_denominators(label):
-    # Fix(h g h^-1) = h.Fix(g), so the members of hGh^-1 are h applied to
-    # those of G; h^-1 has denominator 11, so the residues mod p of the
-    # conjugated elements carry an inverted denominator
+def _conjugated_by_h(label):
+    """The catalog group `label` conjugated by _H, and _H over its
+    conductor.  h^-1 has denominator 11, so the residues mod p of the
+    conjugated elements carry an inverted denominator."""
     g = catalog_group(label)
     L = g.conductor
 
@@ -283,11 +282,18 @@ def test_isotropy_in_a_non_orthogonal_position_with_denominators(label):
 
     h, h_inv = matrix(_H), matrix(_rational_inverse(_H))
     assert (h @ h_inv).is_identity() and h_inv.den == 11
-    moved = MatrixGroup([h @ s @ h_inv for s in g.generators], order=g.order)
+    return MatrixGroup([h @ s @ h_inv for s in g.generators], order=g.order), h
+
+
+@pytest.mark.parametrize("label", ["B3xA1", "I2(5)xI2(8)"])
+def test_isotropy_in_a_non_orthogonal_position_with_denominators(label):
+    # Fix(h g h^-1) = h.Fix(g), so the members of hGh^-1 are h applied to
+    # those of G
+    moved, h = _conjugated_by_h(label)
     arr = isotropy_arrangement(moved)
     assert arr.key_set() == {
-        Subspace.from_rows(4, [h.apply(row) for row in u.basis], L).key
-        for u in isotropy_arrangement(g).subspaces
+        Subspace.from_rows(4, [h.apply(row) for row in u.basis], moved.conductor).key
+        for u in isotropy_arrangement(catalog_group(label)).subspaces
     }
     for s, prov in zip(arr.subspaces, arr.provenance):
         assert _joint_fixed_space(moved, prov["fixing_elements"]) == s
@@ -348,14 +354,21 @@ def test_oracle_equivalence_small(label):
 
 def test_reflection_provenance_hyperplanes():
     # provenance indices are positions among the arrangement's own
-    # hyperplanes, and they name exactly the hyperplanes containing a member
-    for label, count in (("B3", 9), ("F4", 24)):
-        g = catalog_group(label)
+    # hyperplanes, and the F_p keys name exactly the hyperplanes that
+    # contain a member exactly; H4 is checked on every tenth member, as
+    # the exact test of all its 2103 x 60 pairs costs ten times as much
+    cases = [(catalog_group(label), count, 1) for label, count in (("B3", 9), ("F4", 24))]
+    cases.append((catalog_group("H4"), 60, 10))
+    cases += [
+        (_conjugated_by_h(label)[0], count, 1)
+        for label, count in (("F4", 24), ("I2(5)xI2(8)", 13))
+    ]
+    for g, count, stride in cases:
         arr = reflection_arrangement(g)
         hyperplanes = arr.members_of_dim(g.ambient_dim - 1)
         assert len(hyperplanes) == count
-        for s, prov in zip(arr.subspaces, arr.provenance):
-            assert prov["hyperplanes"]
+        assert all(prov["hyperplanes"] for prov in arr.provenance)
+        for s, prov in zip(arr.subspaces[::stride], arr.provenance[::stride]):
             assert prov["hyperplanes"] == [
                 j for j, h in enumerate(hyperplanes) if subspace_contains(h, s)
             ]
@@ -403,18 +416,29 @@ def test_reflection_arrangement_json_bytes(ref, tmp_path):
     assert digest == REFLECTION_JSON_SHA256[ref]
 
 
-def test_reflection_provenance_built_on_read():
-    # a group read back from JSON has fresh generators, so no cached fixed
-    # space carries mod-p rows from an earlier arrangement
-    g = group_from_json(group_to_json(catalog_group("B3")))
+def test_reflection_provenance_built_on_read(monkeypatch):
+    # either route's provenance is read from the members' F_p keys, with
+    # no exact containment test
+    g = catalog_group("F4")
     arr = reflection_arrangement(g)
     embedded = arr.embed(4 * arr.conductor)
-    assert all(s._mod_ann is None for s in arr.subspaces)
+    iso = isotropy_arrangement(g)
+    arr.subspaces, iso.subspaces  # built first: only the provenance reads are counted
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return subspace_contains(*args)
+
+    monkeypatch.setattr(linalg, "subspace_contains", counted)
+    monkeypatch.setattr(arrangements, "subspace_contains", counted)
     assert callable(arr._provenance) and callable(embedded._provenance)
     prov = arr.provenance
     assert len(prov) == arr.size and not callable(arr._provenance)
-    assert any(s._mod_ann is not None for s in arr.subspaces)
     assert embedded.provenance is prov
+    assert len(iso.provenance) == iso.size
+    assert calls == 0
 
 
 @pytest.mark.parametrize("label", BIG_FACTOR_LABELS)

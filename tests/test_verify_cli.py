@@ -576,8 +576,8 @@ def test_lemma_plane_runs_at_the_conductor_cap():
         verify_lemma_plane(251, 1, 0)  # conductor lcm(4, 251) = 1004
 
 
-def _group_file(path, entries):
-    """A JSON group over conductor 4 with one 2 x 2 rational generator,
+def _group_file(path, *generators):
+    """A JSON group over conductor 4 with 2 x 2 rational generators, each
     given by its entries in row order."""
     def entry(v):
         return {"conductor": 4, "coeffs": [str(v), "0"]}
@@ -586,6 +586,7 @@ def _group_file(path, entries):
         "name": "hostile", "ambient": 2, "conductor": 4,
         "generators": [
             {"rows": 2, "cols": 2, "entries": [entry(v) for v in entries]}
+            for entries in generators
         ],
     }))
     return path
@@ -595,17 +596,20 @@ _P4 = groups._mod_image(4).p
 
 
 @pytest.mark.parametrize(
-    "entries",
+    "generators",
     [
-        (1 + _P4, 0, 0, 1),
-        (f"1/{_P4}", 0, 0, 1),
-        (2, 0, 0, 1),
+        [(1 + _P4, 0, 0, 1)],
+        [(f"1/{_P4}", 0, 0, 1)],
+        [(2, 0, 0, 1)],
         # a reflection of order 2 whose denominator p divides: the closure
         # and the flat search both work mod p and refuse it
-        (-1, 0, f"-1/{_P4}", 1),
+        [(-1, 0, f"-1/{_P4}", 1)],
+        # two integer reflections whose product has integer trace and
+        # infinite order, with entries that grow with every exact power
+        [(-1, 10**60, 0, 1), (1, 0, 10**60, -1)],
     ],
     ids=["trivial-mod-p", "denominator-divisible-by-p", "infinite-order-at-cap",
-         "reflection-with-denominator-p"],
+         "reflection-with-denominator-p", "two-reflections-of-infinite-product"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -616,8 +620,8 @@ _P4 = groups._mod_image(4).p
     ],
     ids=["group-show", "arrangement-isotropy", "arrangement-reflection"],
 )
-def test_cli_hostile_group_exits_2(entries, command, tmp_path):
-    path = _group_file(tmp_path / "group.json", entries)
+def test_cli_hostile_group_exits_2(generators, command, tmp_path):
+    path = _group_file(tmp_path / "group.json", *generators)
     args = command[:2] + [str(path)] + command[2:]
     proc = _run_cli(args)
     assert proc.returncode == 2
