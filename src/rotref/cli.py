@@ -87,7 +87,7 @@ def _print_failure_detail(rep):
 
 def _group_from_ref(ref: str):
     p = Path(ref)
-    if p.suffix == ".json" or p.exists():
+    if p.suffix == ".json" or p.is_file():
         data = json.loads(p.read_text(encoding="utf-8"))
         return group_from_json(data)
     return catalog_group(parse_label(ref))

@@ -16,10 +16,15 @@ mod p is injective on a finite group with p-integral entries (Minkowski
 2007), and the projector argument reads dim Fix(g) off the rank of g - I
 mod p.  The README's design note "Closing groups mod p" has the proofs and
 the exact checks that back them (_Elements).
+
+The catalog is one table, _FACTORS: each family's degree, order, conductor
+and generator builder, with I2(k) derived from k.  parse_label is the one
+check on a label, and _Elements the one check on a group's size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections.abc import Sequence
@@ -117,11 +122,11 @@ class MatrixGroup:
         self.known_order = order
         self._elements = None
 
-    def ensure_elements(self, cap: int = DEFAULT_CLOSURE_CAP):
+    def ensure_elements(self):
         """The elements as a sequence of exact matrices in BFS order; each
         matrix is built the first time it is read."""
         if self._elements is None:
-            self._elements = _Elements(self, cap)
+            self._elements = _Elements(self)
         return self._elements
 
     @property
@@ -214,10 +219,19 @@ class _Elements(Sequence):
       fails shows two distinct elements with one image; reduction is not
       injective, so the group is infinite and ClosureCapExceeded is raised.
 
+    This is the one size guard on a group: a known order above
+    DEFAULT_CLOSURE_CAP is refused before any search, and any other search
+    stops at that cap (ClosureCapExceeded).
+
     Element i is its parent times one generator, (parent, generator) =
     parents[i], and its exact matrix costs that one product."""
 
-    def __init__(self, group: MatrixGroup, cap: int):
+    def __init__(self, group: MatrixGroup):
+        if (group.known_order or 0) > DEFAULT_CLOSURE_CAP:
+            raise ClosureCapExceeded(
+                f"{group.name or 'the group'} has order {group.known_order}, "
+                f"above the closure cap {DEFAULT_CLOSURE_CAP}"
+            )
         n, L = group.ambient_dim, group.conductor
         self.img = _mod_image(L)
         self.p = self.img.p
@@ -225,7 +239,7 @@ class _Elements(Sequence):
         self.generators = group.generators
         self._gen_residues = [self.img.residues(g) for g in self.generators]
         self.residues, self.position, self.parents = _residue_bfs(
-            self._gen_residues, n, self.p, cap
+            self._gen_residues, n, self.p, DEFAULT_CLOSURE_CAP
         )
         self._exact = [None] * len(self.residues)
         self._exact[0] = MatrixF.identity(n, L)
@@ -289,11 +303,11 @@ class _Elements(Sequence):
         return self._keys
 
 
-def closure(generators, cap: int = DEFAULT_CLOSURE_CAP, name=None) -> MatrixGroup:
+def closure(generators, name=None) -> MatrixGroup:
     """Breadth-first closure of a generator list into a full MatrixGroup,
     confirmed exactly (its order is not known in advance)."""
     grp = MatrixGroup(generators, name=name)
-    grp.ensure_elements(cap)
+    grp.ensure_elements()
     return grp
 
 
@@ -458,6 +472,10 @@ def gmpn_generators(m: int, p: int, n: int):
     if m < 1 or n < 1 or p < 1 or m % p != 0:
         raise ValueError("need m, n >= 1 and p | m")
     L = math.lcm(4, m)
+    if L > CONDUCTOR_CAP:
+        raise ValueError(
+            f"G({m},{p},{n}) needs conductor {L}, above the conductor cap {CONDUCTOR_CAP}"
+        )
     one, zero = CycNum.one(L), CycNum.zero(L)
     z = zeta_power(L, L // m)  # a primitive m-th root
 
@@ -511,133 +529,19 @@ def realify(m: MatrixF) -> MatrixF:
     return MatrixF.from_rows(rows)
 
 
-def realified_gmpn_group(m: int, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixGroup:
+def realified_gmpn_group(m: int) -> MatrixGroup:
     """The rotation group of interest: G(m,1,2) realified into O_4.  Its
-    order 2m^2 is known, so a group larger than `cap` is rejected before
-    any closure, and the closure must reach exactly that order."""
-    order = gmpn_order(m, 1, 2)
-    if m >= 1 and order > cap:
-        raise ClosureCapExceeded(
-            f"G({m},1,2) has order {order}, above the closure cap {cap}"
-        )
+    order 2m^2 is known, so a group above the closure cap is refused before
+    any search (_Elements), and the search must reach exactly that order."""
     gens = [realify(g) for g in gmpn_generators(m, 1, 2)]
-    grp = MatrixGroup(gens, name=f"G({m},1,2)r", order=order)
-    grp.ensure_elements(cap)
+    grp = MatrixGroup(gens, name=f"G({m},1,2)r", order=gmpn_order(m, 1, 2))
+    grp.ensure_elements()
     return grp
 
 
 # ---------------------------------------------------------------------------
 # the degree <= 4 real reflection catalog
 # ---------------------------------------------------------------------------
-
-_FACTOR_RE = re.compile(r"^(A[1-4]|B[2-4]|D4|F4|H[34]|I2\((\d+)\)|1)$")
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A structured catalog label: product of irreducible factors plus
-    trivial paddings, e.g. 'H3xA1', 'I2(5)xI2(7)', 'B3x1'."""
-
-    factors: tuple  # tuple of ("A1".."H4", "I2", or "1", param or None)
-
-    @staticmethod
-    def parse(label: str) -> "CatalogEntry":
-        return parse_label(label)
-
-    @property
-    def label(self) -> str:
-        parts = []
-        for fam, param in self.factors:
-            parts.append(f"I2({param})" if fam == "I2" else fam)
-        return "x".join(parts)
-
-    @property
-    def degree(self) -> int:
-        return sum(_factor_degree(f) for f in self.factors)
-
-    @property
-    def conductor_required(self) -> int:
-        L = 4
-        for fam, param in self.factors:
-            L = math.lcm(L, _factor_conductor(fam, param))
-        return L
-
-    @property
-    def has_big_factor(self) -> bool:
-        return any(_factor_degree(f) >= 3 for f in self.factors)
-
-    def __str__(self):
-        return self.label
-
-
-def _factor_degree(factor) -> int:
-    fam, param = factor
-    if fam == "1":
-        return 1
-    if fam == "I2":
-        return 2
-    return int(fam[1])
-
-
-_FACTOR_ORDERS = {
-    "1": 1, "A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
-    "B4": 384, "D4": 192, "F4": 1152, "H3": 120, "H4": 14400,
-}
-
-
-def _factor_order(fam, param) -> int:
-    """The order of an irreducible factor's group (I2(k): dihedral, 2k)."""
-    return 2 * param if fam == "I2" else _FACTOR_ORDERS[fam]
-
-
-def _factor_conductor(fam, param) -> int:
-    if fam == "I2":
-        return math.lcm(4, param)
-    if fam in ("A2",):
-        return 12
-    if fam in ("B2",):
-        return 4
-    if fam in ("A4", "H3", "H4"):
-        return 20
-    return 4
-
-
-def parse_label(label: str) -> CatalogEntry:
-    factors = []
-    for part in label.split("x"):
-        m = _FACTOR_RE.match(part)
-        if not m:
-            raise ValueError(f"unknown catalog factor {part!r} in {label!r}")
-        if part.startswith("I2("):
-            k = int(m.group(2))
-            if k < 2:
-                raise ValueError("I2(k) needs k >= 2")
-            factors.append(("I2", k))
-        else:
-            factors.append((part, None))
-    if not factors:
-        raise ValueError("empty label")
-    entry = CatalogEntry(tuple(factors))
-    if entry.conductor_required > CONDUCTOR_CAP:
-        raise ValueError(
-            f"{label} needs conductor {entry.conductor_required}, above the "
-            f"conductor cap {CONDUCTOR_CAP}"
-        )
-    return entry
-
-
-IRREDUCIBLE_LABELS = (
-    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "H3", "H4",
-)
-
-# degree-4 products with an irreducible factor of degree 3 or 4; the
-# k-independent finite list used by the counting threshold
-BIG_FACTOR_LABELS = (
-    "A4", "B4", "D4", "F4", "H4",
-    "A3xA1", "B3xA1", "H3xA1",
-    "A3x1", "B3x1", "H3x1",
-)
-
 
 # -- exact constants over conductor 20 --------------------------------------
 
@@ -680,8 +584,6 @@ def _gens_from_int_roots(roots, L=4):
 
 
 def _gens_I2(k: int):
-    if k < 2:
-        raise ValueError("I2(k) needs k >= 2")
     L = math.lcm(4, k)
     half = CycNum.rational(L, Fraction(1, 2))
     i = zeta_power(L, L // 4)
@@ -740,43 +642,108 @@ def _gens_H(rank: int):
     return [_reflection_in_root(r, L) for r in roots]
 
 
-def _irreducible_generators(fam: str, param):
-    if fam == "A1":
-        return [_reflection_in_root([CycNum.one(4)], 4)]
-    if fam == "A2":
-        return _gens_I2(3)
-    if fam == "B2":
-        return _gens_I2(4)
+# family -> (degree, order, conductor, generator builder), irreducible
+# families first; the trivial padding "1" adds a coordinate that every
+# generator fixes.  I2(k) is derived from k (_factor).
+_FACTORS = {
+    "A1": (1, 2, 4, lambda: [_reflection_in_root([CycNum.one(4)], 4)]),
+    "A2": (2, 6, 12, lambda: _gens_I2(3)),
+    "A3": (3, 24, 4, lambda: _gens_from_int_roots([[1, -1, 0], [0, 1, -1], [0, 1, 1]])),
+    "A4": (4, 120, 20, _gens_A4),
+    "B2": (2, 8, 4, lambda: _gens_I2(4)),
+    "B3": (3, 48, 4, lambda: _gens_from_int_roots([[1, -1, 0], [0, 1, -1], [0, 0, 1]])),
+    "B4": (4, 384, 4, lambda: _gens_from_int_roots(
+        [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
+    )),
+    "D4": (4, 192, 4, lambda: _gens_from_int_roots(
+        [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
+    )),
+    "F4": (4, 1152, 4, lambda: _gens_from_int_roots(
+        [[0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1], [Fraction(1, 2)] + [Fraction(-1, 2)] * 3]
+    )),
+    "H3": (3, 120, 20, lambda: _gens_H(3)),
+    "H4": (4, 14400, 20, lambda: _gens_H(4)),
+    "1": (1, 1, 4, list),
+}
+
+IRREDUCIBLE_LABELS = tuple(fam for fam in _FACTORS if fam != "1")
+
+# degree-4 products with an irreducible factor of degree 3 or 4; the
+# k-independent finite list used by the counting threshold
+BIG_FACTOR_LABELS = (
+    "A4", "B4", "D4", "F4", "H4",
+    "A3xA1", "B3xA1", "H3xA1",
+    "A3x1", "B3x1", "H3x1",
+)
+
+_FACTOR_RE = re.compile("|".join(map(re.escape, _FACTORS)) + r"|I2\(([0-9]+)\)")
+
+
+def _factor(fam: str, k) -> tuple:
+    """(degree, order, conductor, generator builder) of one factor."""
     if fam == "I2":
-        return _gens_I2(param)
-    if fam == "A3":
-        return _gens_from_int_roots([[1, -1, 0], [0, 1, -1], [0, 1, 1]])
-    if fam == "B3":
-        return _gens_from_int_roots([[1, -1, 0], [0, 1, -1], [0, 0, 1]])
-    if fam == "B4":
-        return _gens_from_int_roots(
-            [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
+        return 2, 2 * k, math.lcm(4, k), lambda: _gens_I2(k)
+    return _FACTORS[fam]
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """A structured catalog label: product of irreducible factors plus
+    trivial paddings, e.g. 'H3xA1', 'I2(5)xI2(7)', 'B3x1'."""
+
+    factors: tuple  # tuple of (family, k for I2(k) or None)
+
+    @staticmethod
+    def parse(label: str) -> "CatalogEntry":
+        return parse_label(label)
+
+    @property
+    def label(self) -> str:
+        return "x".join(f"I2({k})" if fam == "I2" else fam for fam, k in self.factors)
+
+    @property
+    def degree(self) -> int:
+        return sum(_factor(*f)[0] for f in self.factors)
+
+    @property
+    def conductor_required(self) -> int:
+        return math.lcm(*(_factor(*f)[2] for f in self.factors))
+
+    @property
+    def has_big_factor(self) -> bool:
+        return any(_factor(*f)[0] >= 3 for f in self.factors)
+
+    def __str__(self):
+        return self.label
+
+
+def parse_label(label: str) -> CatalogEntry:
+    """The entry of a catalog label: factors of _FACTORS or I2(k), k in ASCII
+    digits, joined by "x".  This is where every label is checked: an unknown
+    factor, k < 2, a degree above 4 or a conductor above CONDUCTOR_CAP raises
+    ValueError."""
+    factors = []
+    for part in label.split("x"):
+        m = _FACTOR_RE.fullmatch(part)
+        if not m:
+            raise ValueError(f"unknown catalog factor {part!r} in {label!r}")
+        if m[1] is None:
+            factors.append((part, None))
+        elif int(m[1]) < 2:
+            raise ValueError("I2(k) needs k >= 2")
+        else:
+            factors.append(("I2", int(m[1])))
+    entry = CatalogEntry(tuple(factors))
+    if entry.degree > 4:
+        raise ValueError(
+            f"{label} has degree {entry.degree}; the catalog stops at degree 4"
         )
-    if fam == "D4":
-        return _gens_from_int_roots(
-            [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
+    if entry.conductor_required > CONDUCTOR_CAP:
+        raise ValueError(
+            f"{label} needs conductor {entry.conductor_required}, above the "
+            f"conductor cap {CONDUCTOR_CAP}"
         )
-    if fam == "F4":
-        return _gens_from_int_roots(
-            [
-                [0, 1, -1, 0],
-                [0, 0, 1, -1],
-                [0, 0, 0, 1],
-                [Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)],
-            ]
-        )
-    if fam == "A4":
-        return _gens_A4()
-    if fam in ("H3", "H4"):
-        return _gens_H(int(fam[1]))
-    if fam == "1":
-        return []
-    raise ValueError(f"unknown irreducible family {fam}")
+    return entry
 
 
 def _block_diagonal(blocks, L: int, name, order) -> MatrixGroup:
@@ -817,11 +784,12 @@ def catalog_group(entry) -> MatrixGroup:
     cached = _CATALOG_CACHE.get(entry.label)
     if cached is not None:
         return cached
+    rows = [_factor(*f) for f in entry.factors]
     grp = _block_diagonal(
-        [(_factor_degree(f), _irreducible_generators(*f)) for f in entry.factors],
+        [(degree, build()) for degree, _, _, build in rows],
         entry.conductor_required,
         entry.label,
-        math.prod(_factor_order(*f) for f in entry.factors),
+        math.prod(order for _, order, _, _ in rows),
     )
     _CATALOG_CACHE[entry.label] = grp
     return grp
@@ -860,35 +828,21 @@ def enumerate_degree4_catalog(k_max: int):
     Factor order inside a label: degree-4 factor alone; degree-3 factor then
     its degree-1 slot; I2 pairs with ascending parameters; degree-1 slots
     with A1 before trivial padding.  The enumeration is deterministic.
-    A k_max whose I2 pairs need a conductor above CONDUCTOR_CAP (k_max >= 17:
-    I2(15)xI2(17) needs 1020) is rejected before any label is built.
+    Every label is parsed, and so checked, before any group is built: a
+    k_max whose I2 pairs need a conductor above CONDUCTOR_CAP (k_max >= 17:
+    I2(15)xI2(17) needs 1020) is rejected at its first such label.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     ks = range(2, k_max + 1)
-    for p in ks:
-        for q in ks[p - 2:]:
-            if math.lcm(4, p, q) > CONDUCTOR_CAP:
-                raise ValueError(
-                    f"k_max = {k_max} puts I2({p})xI2({q}) in the catalog, at "
-                    f"conductor {math.lcm(4, p, q)}, above the conductor cap "
-                    f"{CONDUCTOR_CAP}"
-                )
-    labels = []
-    labels.extend(["A4", "B4", "D4", "F4", "H4"])
-    for big in ("A3", "B3", "H3"):
-        labels.append(f"{big}xA1")
-        labels.append(f"{big}x1")
-    for p in ks:
-        for q in ks:
-            if p <= q:
-                labels.append(f"I2({p})xI2({q})")
-    for k in ks:
-        labels.append(f"I2({k})xA1xA1")
-        labels.append(f"I2({k})xA1x1")
-        labels.append(f"I2({k})x1x1")
-    labels.extend(["A1xA1xA1xA1", "A1xA1xA1x1", "A1xA1x1x1", "A1x1x1x1"])
-    return [catalog_group(lbl) for lbl in labels]
+    labels = itertools.chain(
+        ("A4", "B4", "D4", "F4", "H4", "A3xA1", "A3x1", "B3xA1", "B3x1", "H3xA1", "H3x1"),
+        (f"I2({p})xI2({q})" for p in ks for q in ks[p - 2:]),
+        (f"I2({k})x{rest}" for k in ks for rest in ("A1xA1", "A1x1", "1x1")),
+        ("A1xA1xA1xA1", "A1xA1xA1x1", "A1xA1x1x1", "A1x1x1x1"),
+    )
+    entries = [parse_label(lbl) for lbl in labels]
+    return [catalog_group(e) for e in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotref.cyclo import ConductorMismatch, CycNum, _mod_image, zeta_power
+from rotref import groups
+from rotref.cyclo import CONDUCTOR_CAP, ConductorMismatch, CycNum, _mod_image, zeta_power
 from rotref.linalg import MatrixF, Subspace, kernel
 from rotref.groups import (
     BIG_FACTOR_LABELS,
+    IRREDUCIBLE_LABELS,
     CatalogEntry,
     ClosureCapExceeded,
     MatrixGroup,
@@ -140,8 +144,19 @@ def test_closure_group_axioms():
 
 
 def test_closure_cap():
+    # G(101, 1, 2) is finite, of order 20402, just above the cap
     with pytest.raises(ClosureCapExceeded):
-        closure(gmpn_generators(8, 1, 2), cap=100)
+        closure(gmpn_generators(101, 1, 2))
+
+
+def test_known_order_above_the_cap_is_refused_before_any_search(monkeypatch):
+    searches = []
+    bfs = groups._residue_bfs
+    monkeypatch.setattr(groups, "_residue_bfs", lambda *a: searches.append(a) or bfs(*a))
+    grp = direct_sum(catalog_group("H4"), catalog_group("A1"))
+    with pytest.raises(ClosureCapExceeded, match="28800"):
+        grp.ensure_elements()
+    assert searches == []
 
 
 def test_wreath_order_formula():
@@ -347,6 +362,42 @@ def test_unknown_label_rejected():
         parse_label("E8")
     with pytest.raises(ValueError):
         parse_label("I2(1)")
+
+
+def test_label_degree_is_capped():
+    assert parse_label("A1xA1xA1xA1").degree == 4
+    for lbl in ("H4xA1", "A4x1", "I2(3)xB3", "x".join(["A1"] * 40)):
+        with pytest.raises(ValueError, match="degree"):
+            parse_label(lbl)
+
+
+def test_label_is_ascii_without_whitespace():
+    for lbl in ("I2(\u0663)", "I2(\uff13)", "A1\n", " A1", "I2( 3)", "", "A1x", "xA1"):
+        with pytest.raises(ValueError, match="unknown catalog factor"):
+            parse_label(lbl)
+
+
+_K_DIGITS = st.text(st.sampled_from("0123456789\u0663\u0669\uff13\u09e9"), min_size=1, max_size=4)
+_LABEL_PART = st.one_of(
+    st.sampled_from(IRREDUCIBLE_LABELS + ("1", "", "I2", "I2()", "E8", "A5", "H2", "C3")),
+    st.builds("I2({})".format, _K_DIGITS),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t", "\n", "\u00a0"]),
+              st.sampled_from(IRREDUCIBLE_LABELS + ("1", "I2(5)")),
+              st.sampled_from(["", " ", "\n"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.lists(_LABEL_PART, min_size=1, max_size=6).map("x".join))
+def test_label_fuzz(label):
+    # a label is refused with ValueError or names a catalog group in scope
+    try:
+        entry = parse_label(label)
+    except ValueError:
+        return
+    assert entry.degree <= 4 and entry.conductor_required <= CONDUCTOR_CAP
+    assert label.isascii() and not any(c.isspace() for c in label)
+    assert parse_label(entry.label) == entry
 
 
 def test_big_factor_flags():

@@ -6,15 +6,27 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "rotref"
 
 
+def _defined_name(top):
+    """The name a module-level function, class or one-name assignment
+    defines, or None."""
+    if isinstance(top, ast.Assign) and len(top.targets) == 1:
+        top = top.targets[0]
+    elif isinstance(top, ast.AnnAssign):
+        top = top.target
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return top.name
+    return top.id if isinstance(top, ast.Name) else None
+
+
 def test_every_private_helper_is_used():
-    # a module-level private function or class that nothing outside its own
-    # definition names is dead code, left behind by a deletion
+    # a module-level private function, class, table or cache that nothing
+    # outside its own definition names is dead code, left behind by a deletion
     defined = []  # (module, name)
     used = set()  # (name, module, top-level definition it appears in)
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
-            owner = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_"):
+            owner = _defined_name(top)
+            if owner and owner.startswith("_") and not owner.startswith("__"):
                 defined.append((path.stem, owner))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -486,9 +487,13 @@ def test_cli_rejects_jobs_below_one(jobs, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("args", [["lemma-ag", "--m", "1000"], ["rotation", "--m", "101"]])
+@pytest.mark.parametrize(
+    "args",
+    [["lemma-ag", "--m", "1000"], ["rotation", "--m", "101"], ["rotation", "--m", "100000"]],
+)
 def test_cli_rejects_wreath_group_above_cap_at_once(args):
-    # 2m^2 exceeds the closure cap, which is known before any closure
+    # 2m^2 exceeds the closure cap, which is known before any closure; at
+    # m = 100000 the conductor cap refuses the generators before any is built
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "rotref.cli", *args],
@@ -567,6 +572,51 @@ def test_cli_catalog_label_above_the_conductor_cap_exits_2(args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["group", "show"], ["arrangement", "compute"]])
+@pytest.mark.parametrize(
+    "ref",
+    ["x".join(["A1"] * 20), "x".join(["A1"] * 40), "H4xA1", "I2(\u0663)", ""],
+    ids=["A1-20", "A1-40", "H4xA1", "arabic-indic-digit", "empty"],
+)
+def test_cli_hostile_label_exits_2_at_once(command, ref, capsys):
+    # each label is refused before any group is built: a degree above 4, a
+    # non-ASCII digit, an empty factor (not the current directory)
+    t0 = time.perf_counter()
+    assert main([*command, ref]) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_ref_is_read_as_a_file_only_when_it_is_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A1").mkdir()
+    assert main(["group", "show", "A1"]) == 0
+    assert main(["group", "show", ""]) == 2
+    assert capsys.readouterr().err == "error: unknown catalog factor '' in ''\n"
+
+
+# --p and --q either refused (below 2, or a conductor lcm(4, p, q) above the
+# cap) or at most 12; an accepted conductor near the cap takes many seconds
+_DICHOTOMY_REFUSED = st.one_of(
+    st.integers(max_value=1), st.sampled_from([251, 499, 997]), st.integers(min_value=1001)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.one_of(_DICHOTOMY_REFUSED, st.integers(2, 12)),
+       q=st.one_of(_DICHOTOMY_REFUSED, st.integers(2, 12)))
+def test_cli_dichotomy_fuzz(p, q):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["dichotomy", f"--p={p}", f"--q={q}"])
+    if 2 <= p <= 12 and 2 <= q <= 12:
+        assert code == 0, err.getvalue()
+    else:
+        assert code == 2, out.getvalue()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_lemma_plane_runs_at_the_conductor_cap():
