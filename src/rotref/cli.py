@@ -88,7 +88,10 @@ def _print_failure_detail(rep):
 def _group_from_ref(ref: str):
     p = Path(ref)
     if p.suffix == ".json" or p.is_file():
-        data = json.loads(p.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(p.read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"{ref}: JSON nested too deeply") from None
         return group_from_json(data)
     return catalog_group(parse_label(ref))
 

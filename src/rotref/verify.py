@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 from rotref.cyclo import CONDUCTOR_CAP
 from rotref.linalg import (
-    Subspace,
     intersection_dim,
     meets_nontrivially,
     subspace_to_json,
@@ -52,8 +51,6 @@ from rotref.groups import (
 from rotref.arrangements import (
     Arrangement,
     arrangement_contains,
-    coordinate_plane_x0,
-    coordinate_plane_y0,
     isotropy_arrangement,
     reflection_arrangement,
     sample_rational_plane,
@@ -77,8 +74,8 @@ __all__ = [
     "catalog_arrangement",
 ]
 
-# largest m for which the wreath arrangement is recomputed from the group
-# closure; beyond it the verified m+2-plane description is used instead
+# largest m that survey computes; theorem certificates cite it as the range
+# where the m+2-plane description was recomputed exhaustively
 DIRECT_ARRANGEMENT_M_CAP = 12
 
 
@@ -391,11 +388,12 @@ def _real_cos_in_field(m: int, N: int) -> bool:
 
 
 def _witness_against(label: str, m: int):
-    """A member of the wreath arrangement absent from the standard-position
-    arrangement of `label`, for m above the direct cap.  Returns
-    (witness_payload or None); None means containment holds."""
-    grp = catalog_group(label)
-    N = grp.conductor
+    """Part (i) for one group: a member of the wreath arrangement absent
+    from the standard-position arrangement of `label`, or None when that
+    arrangement contains the wreath arrangement.  The field obstruction
+    decides first, the computed arrangements otherwise (see
+    verify_theorem)."""
+    N = catalog_group(label).conductor
     if not _real_cos_in_field(m, N):
         return {
             "witness_plane": f"y = zeta_{m} x",
@@ -408,26 +406,14 @@ def _witness_against(label: str, m: int):
                 f"subfield that is Q or not real"
             ),
         }
-    # the wreath planes are expressible over lcm(4, m, N); compare directly
-    L = math.lcm(4, m, N)
-    arr = catalog_arrangement(label).embed(L)
-    keys = arr.key_set()
-    for j in range(m):
-        p = zeta_plane(L, m, j)
-        if p.key not in keys:
-            return {
-                "witness_plane": f"y = zeta_{m}^{j} x",
-                "justification": "direct-membership",
-                "plane": subspace_to_json(p),
-            }
-    for name, p in (
-        ("x = 0", coordinate_plane_x0(L)),
-        ("y = 0", coordinate_plane_y0(L)),
-        ("origin", Subspace.zero_space(4, L)),
-    ):
-        if p.key not in keys:
-            return {"witness_plane": name, "justification": "direct-membership"}
-    return None
+    ok, w = arrangement_contains(catalog_arrangement(label), wreath_arrangement(m))
+    if ok:
+        return None
+    return {
+        "witness_dim": w.dim,
+        "witness": subspace_to_json(w),
+        "justification": "computed-arrangement",
+    }
 
 
 def verify_theorem(m: int, jobs: int = 1) -> VerificationReport:
@@ -435,7 +421,16 @@ def verify_theorem(m: int, jobs: int = 1) -> VerificationReport:
     degree-4 real reflection arrangement.
 
     Part (i): direct non-containment against the eleven big-factor groups
-    (an irreducible factor of degree 3 or 4) in standard position.
+    (an irreducible factor of degree 3 or 4) in standard position, by one
+    route for every m.  A flat of a group with entries in Q(zeta_N) is a
+    meet of hyperplanes defined over Q(zeta_N), so its unique RREF basis has
+    entries in Q(zeta_N); the RREF basis of y = zeta_m x has the entry
+    cos(2pi/m).  So when cos(2pi/m) lies outside Q(zeta_N) that plane is no
+    flat of the group (the field obstruction, _real_cos_in_field).  Only
+    otherwise are the computed arrangements compared, and the field allows
+    that only at m in {1, 2, 3, 4, 6} for N = 4 and m in {1, 2, 3, 4, 5, 6,
+    10, 20} for N = 20, so the largest wreath closure built is G(20,1,2),
+    of order 800.
     Part (ii): the counting certificate, applicable when m >= m0_planes,
     which covers every position of the big-factor groups.  Part (iii): every
     other group, all irreducible factors of degree <= 2 and I2(k) for every
@@ -470,37 +465,18 @@ def verify_theorem(m: int, jobs: int = 1) -> VerificationReport:
     labels = BIG_FACTOR_LABELS
 
     # -- part (i): standard positions --------------------------------------
-    if m <= DIRECT_ARRANGEMENT_M_CAP:
-        ag = wreath_arrangement(m)
-
-        def witness(label):
-            ok, w = arrangement_contains(catalog_arrangement(label), ag)
-            if ok:
-                return None
-            return {
-                "witness_dim": w.dim,
-                "witness": subspace_to_json(w),
-                "justification": "computed-arrangement",
-            }
-
-        payloads = _map(witness, labels, jobs)
-        arrangement_source = {
-            "wreath": "isotropy arrangement computed from the closure",
-            "catalog": "reflection flat search (reflection_arrangement)",
-        }
-    else:
-        payloads = [_witness_against(label, m) for label in labels]
-        arrangement_source = {
-            "wreath": (
-                f"m+2-plane description (recomputed exhaustively for m <= "
-                f"{DIRECT_ARRANGEMENT_M_CAP}; each plane is the fixed space of "
-                f"an explicit group element)"
-            ),
-            "catalog": (
-                "field obstruction when cos(2pi/m) lies outside the group's "
-                "field, else the reflection flat search (reflection_arrangement)"
-            ),
-        }
+    payloads = _map(lambda label: _witness_against(label, m), labels, jobs)
+    arrangement_source = {
+        "wreath": (
+            f"m+2-plane description (recomputed exhaustively for m <= "
+            f"{DIRECT_ARRANGEMENT_M_CAP}; each plane is the fixed space of "
+            f"an explicit group element)"
+        ),
+        "catalog": (
+            "field obstruction when cos(2pi/m) lies outside the group's "
+            "field, else the reflection flat search (reflection_arrangement)"
+        ),
+    }
     containments = [g for g, p in zip(labels, payloads) if p is None]
     part_i_entries = [
         {"group": g, "containment": True} if p is None else {"group": g, **p}

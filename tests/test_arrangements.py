@@ -514,6 +514,34 @@ def test_threshold_builds_no_exact_flat(monkeypatch):
     assert (res.m0_planes, res.m0_total) == (721, 2101)
 
 
+def test_theorem_part_i_builds_no_exact_flat_where_the_field_decides(monkeypatch):
+    # at m = 7, 12 and 721 cos(2 pi/m) lies outside every big-factor field,
+    # so part (i) builds no wreath arrangement and no exact flat; only the
+    # generators' fixed spaces, read by generating_reflections, remain
+    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
+    calls = {"from_rows": 0, "meet": 0, "wreath": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Subspace, "from_rows",
+                        staticmethod(counted("from_rows", Subspace.from_rows)))
+    monkeypatch.setattr(arrangements, "_meet_hyperplane",
+                        counted("meet", arrangements._meet_hyperplane))
+    monkeypatch.setattr(verify, "wreath_arrangement",
+                        counted("wreath", verify.wreath_arrangement))
+    for m in (7, 12, 721):
+        assert verify.verify_theorem(m).passed
+    assert calls["wreath"] == calls["meet"] == 0
+    assert calls["from_rows"] <= sum(
+        len(catalog_group(label).generators) for label in BIG_FACTOR_LABELS
+    ) == 41
+
+
 def test_reflection_arrangement_dims_match_exact_flats():
     # the member dimensions come from the F_p keys before any exact flat is
     # built; the exact flats, once built, must have the same dimensions

@@ -178,8 +178,13 @@ CLI_JSON_SHA256 = {
     "rotation --m 9": (0, "837126aa80ec7445db5d13ac102c666e6d7d8bb7492f119bfd2f16918812d984"),
     # recorded when part (i) of theorem came to check the eleven big-factor
     # groups only, and theorem lost --k-max
-    "theorem --m 3": (0, "1db3a7eb8ebdf65301045045709c1cf828b164aabc84520867bca3504b175463"),
     "theorem --m 721": (0, "992655517722e8e1baf4ac9a9b663c63586df659083c0c63fabaa36f31ad4e0c"),
+    # recorded when part (i) came to take one route for every m: the field
+    # obstruction first, the computed arrangements only where the field
+    # allows
+    "theorem --m 3": (0, "6a057f8e961e5dd03d9b0ff87cb57f7695b876a8bc99b8796f09297f426a8a81"),
+    "theorem --m 12": (0, "cbf7bfbee3ad650dc5c067c043c08e7ea385a1246ea17a089e0dd2ec936f920f"),
+    "theorem --m 20": (0, "3bcb5eea934f0d1652f8148cf76b15460c455b4c95480632ce2ddbf40aca1a08"),
     # recorded before reflection arrangements came to count their members
     # from the F_p keys and to build exact flats only when they are read
     "threshold": (0, "712918125f67574c187b965f1794a7bd3fc0a9c97837733598bd988bc3569ca7"),

@@ -42,3 +42,31 @@ def test_every_private_helper_is_used():
     ]
     assert defined
     assert dead == []
+
+
+# perfbench's install probe pins arrangements.subspace_contains
+_PINNED_IMPORTS = {("arrangements", "subspace_contains")}
+
+
+def test_every_module_import_is_used():
+    # a module-level import that nothing else in its module names is left
+    # behind by a deletion; __init__.py imports to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for top in tree.body
+            if isinstance(top, (ast.Import, ast.ImportFrom))
+            and getattr(top, "module", None) != "__future__"
+            for alias in top.names
+        ]
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}.{name}"
+            for name in imported
+            if name not in named and (path.stem, name) not in _PINNED_IMPORTS
+        ]
+    assert unused == []

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotref import groups, verify
+from rotref.arrangements import arrangement_contains, zeta_plane
 from rotref.cli import main
 from rotref.cyclo import euler_phi
 from rotref.verify import (
@@ -144,7 +146,8 @@ def test_theorem_part_iii_is_a_proof_with_no_sampled_check(monkeypatch):
 def test_theorem_part_i_reads_only_the_big_factor_groups(monkeypatch):
     # part (iii) proves every group without a factor of degree 3 or 4, so
     # part (i) builds and reads the eleven big-factor arrangements only; at
-    # m = 20 four of them take the direct-membership branch above the cap
+    # m = 20 the four groups over Q(zeta_20) contain cos(2 pi/20) in their
+    # field and take the computed route, the other seven the field one
     touched = []
 
     def counting(fn):
@@ -160,9 +163,38 @@ def test_theorem_part_i_reads_only_the_big_factor_groups(monkeypatch):
         assert part_i["checked_groups"] == 11
         assert [w["group"] for w in part_i["witnesses"]] == list(groups.BIG_FACTOR_LABELS)
     assert touched and set(touched) <= set(groups.BIG_FACTOR_LABELS)
-    direct = {w["group"] for w in part_i["witnesses"]
-              if w["justification"] == "direct-membership"}
-    assert direct == {"H4", "A4", "H3xA1", "H3x1"}
+    routes = {w["group"]: w["justification"] for w in part_i["witnesses"]}
+    computed = {g for g, r in routes.items() if r == "computed-arrangement"}
+    assert computed == {"H4", "A4", "H3xA1", "H3x1"}
+    assert set(routes.values()) == {"computed-arrangement", "field-obstruction"}
+
+
+def test_theorem_field_route_agrees_with_the_computed_arrangements():
+    # the big-factor groups have conductor 4 or 20, so the field test lets
+    # part (i) compute arrangements only at the m listed here, at most 20
+    conductors = {groups.catalog_group(g).conductor for g in groups.BIG_FACTOR_LABELS}
+    passes = {N: [m for m in range(1, 10001) if verify._real_cos_in_field(m, N)]
+              for N in conductors}
+    assert passes == {4: [1, 2, 3, 4, 6], 20: [1, 2, 3, 4, 5, 6, 10, 20]}
+    # wherever the field obstruction decides, the computed arrangements
+    # agree: y = zeta_m x is a wreath plane and no flat of the group, both
+    # compared at conductor lcm(4, m, N)
+    decided = 0
+    for label in groups.BIG_FACTOR_LABELS:
+        N = groups.catalog_group(label).conductor
+        big = verify.catalog_arrangement(label)
+        for m in [*range(2, 13), 20]:
+            if verify._real_cos_in_field(m, N):
+                continue
+            decided += 1
+            small = verify.wreath_arrangement(m)
+            ok, w = arrangement_contains(big, small)
+            assert not ok and w is not None, (label, m)
+            L = math.lcm(4, m, N)
+            plane = zeta_plane(L, m, 1).key
+            assert plane in small.embed(L).key_set(), (label, m)
+            assert plane not in big.embed(L).key_set(), (label, m)
+    assert decided == 7 * 8 + 4 * 5
 
 
 def test_survey_finds_no_small_factor_container():
@@ -677,6 +709,27 @@ def test_cli_hostile_group_exits_2(generators, command, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["group", "show"], ["arrangement", "compute"]])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000 + "]" * 100000,
+        '{"name": "deep", "ambient": 2, "conductor": 4, "generators": [{"rows": 2, '
+        '"cols": 2, "entries": [{"conductor": 4, "coeffs": '
+        + "[" * 100000 + "]" * 100000 + "}]}]}",
+    ],
+    ids=["deep-file", "deep-coeffs"],
+)
+def test_cli_deeply_nested_group_file_exits_2(command, text, tmp_path, capsys):
+    # json.loads raises RecursionError on deep nesting, which json.dumps
+    # cannot write, so the text is written directly
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _entry_conductor_60060(d):
