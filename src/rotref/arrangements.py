@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from rotref.cyclo import (
@@ -90,28 +92,29 @@ class Arrangement:
     canonical basis), with a per-member provenance witness.
 
     `dims` holds the member dimensions in that order, so `size` and
-    `dim_counts()` read no subspace.  `_subspaces` is the member tuple, or a
-    function of no arguments that builds it; `_provenance` is the witness
-    tuple, or a function of the member tuple that builds it.  Each function
-    runs the first time `subspaces` or `provenance` is read."""
+    `dim_counts()` read no subspace.  The members are built the first time
+    `subspaces` or `provenance` is read: `_build()` gives each member's
+    exact basis and F_p key, in any order, and `_witnesses(keys)` the
+    provenance of the members with those keys, in canonical order."""
 
     ambient_dim: int
     conductor: int
     dims: tuple
-    _subspaces: object = field(repr=False)
-    _provenance: object = field(repr=False)
+    _build: Callable = field(repr=False)
+    _witnesses: Callable = field(repr=False)
 
-    @property
+    @cached_property
+    def _ranked(self) -> list:
+        """(exact basis, F_p key) of each member, in canonical order."""
+        return sorted(self._build(), key=lambda pair: pair[0].sort_key())
+
+    @cached_property
     def subspaces(self) -> tuple:
-        if callable(self._subspaces):
-            object.__setattr__(self, "_subspaces", self._subspaces())
-        return self._subspaces
+        return tuple(u for u, _ in self._ranked)
 
-    @property
+    @cached_property
     def provenance(self) -> tuple:
-        if callable(self._provenance):
-            object.__setattr__(self, "_provenance", self._provenance(self.subspaces))
-        return self._provenance
+        return self._witnesses([key for _, key in self._ranked])
 
     @property
     def size(self) -> int:
@@ -128,17 +131,6 @@ class Arrangement:
 
     def key_set(self):
         return {s.key for s in self.subspaces}
-
-    def embed(self, L2: int) -> "Arrangement":
-        if L2 == self.conductor:
-            return self
-        return Arrangement(
-            self.ambient_dim,
-            L2,
-            self.dims,
-            lambda: tuple(s.embed(L2) for s in self.subspaces),
-            lambda _: self.provenance,
-        )
 
 
 def _reflection_vector(s: MatrixF, normal):
@@ -171,21 +163,6 @@ def _kills(rows, vectors, p: int) -> bool:
     """Whether every row of `rows` kills every vector of `vectors` mod p:
     whether the span of `vectors` lies in the common kernel of `rows`."""
     return not any(sum(map(mul, a, v)) % p for a in rows for v in vectors)
-
-
-def _lazy_arrangement(n: int, L: int, dims, keys, build, provenance) -> Arrangement:
-    """The Arrangement of members with F_p keys `keys`, dimensions `dims` and
-    exact bases build(), all in discovery order.  The first read of
-    `subspaces` sorts the members canonically and records their keys in that
-    order; the first read of `provenance` returns provenance(those keys)."""
-    canonical = []
-
-    def members():
-        ranked = sorted(zip(build(), keys), key=lambda pair: pair[0].sort_key())
-        canonical[:] = [key for _, key in ranked]  # idempotent: threads may build at once
-        return tuple(u for u, _ in ranked)
-
-    return Arrangement(n, L, tuple(sorted(dims)), members, lambda _: provenance(canonical))
 
 
 def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
@@ -277,7 +254,8 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
             ]})
         return tuple(out)
 
-    return _lazy_arrangement(n, L, [n - len(k) for k in members], list(members), build, provenance)
+    dims = tuple(sorted(n - len(key) for key in members))
+    return Arrangement(n, L, dims, lambda: zip(build(), members), provenance)
 
 
 def _trace(g: MatrixF) -> CycNum:
@@ -419,10 +397,8 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
             for key in canonical
         )
 
-    return _lazy_arrangement(
-        n, L, [len(key) for key in keys], keys,
-        lambda: _exact_flats(n, L, refl, moves), provenance,
-    )
+    dims = tuple(sorted(len(key) for key in keys))
+    return Arrangement(n, L, dims, lambda: zip(_exact_flats(n, L, refl, moves), keys), provenance)
 
 
 def _exact_flats(n: int, L: int, refl, moves) -> list:
@@ -529,9 +505,9 @@ def arrangement_contains(big: Arrangement, small: Arrangement):
     if big.ambient_dim != small.ambient_dim:
         raise ValueError("ambient dimensions differ")
     L = math.lcm(big.conductor, small.conductor)
-    big_keys = big.embed(L).key_set()
+    big_keys = {s.embed(L).key for s in big.subspaces}
     candidates = sorted(
-        small.embed(L).subspaces, key=lambda s: (-s.dim,) + s.sort_key()[1:]
+        (s.embed(L) for s in small.subspaces), key=lambda s: (-s.dim,) + s.sort_key()[1:]
     )
     for s in candidates:
         if s.key not in big_keys:

@@ -4,7 +4,9 @@ Exit status: 0 when every verdict passes, 1 when any verdict fails (the
 witness is printed), 2 for usage or configuration errors.
 
 The --json report file is canonical: keys sorted, runtime omitted, so reruns
-and different --jobs settings produce byte-identical output.
+produce byte-identical output.  Every command runs on one thread; --jobs N is
+still accepted (N >= 1) so that existing scripts keep working, and changes
+nothing.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
     common.add_argument("--json", metavar="PATH", help="write a canonical JSON report")
     common.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for independent checks (results are identical)",
+        help="accepted for compatibility and ignored: every command runs on one thread",
     )
 
     top = argparse.ArgumentParser(
@@ -202,7 +204,7 @@ def _dispatch(args) -> int:
         return _emit_reports([rep], args.json)
 
     if cmd == "threshold":
-        rep = verify_threshold(jobs=args.jobs)
+        rep = verify_threshold()
         cert = rep.certificate
         for label, row in sorted(cert["per_group"].items()):
             print(f"  {label:8s} planes={row['planes']:4d} total={row['total']:5d}")
@@ -210,7 +212,7 @@ def _dispatch(args) -> int:
         return _emit_reports([rep], args.json)
 
     if cmd == "theorem":
-        rep = verify_theorem(args.m, jobs=args.jobs)
+        rep = verify_theorem(args.m)
         cert = rep.certificate
         print(f"part (i)   direct non-containment: "
               f"{'pass' if cert['part_i_direct']['pass'] else 'FAIL'} "

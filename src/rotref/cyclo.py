@@ -9,9 +9,8 @@ numerator vectors and denominators coincide, so CycNum values hash and
 compare structurally.
 
 All values are immutable; every operation is pure.  Per-conductor tables
-(Phi_L and its power-reduction rows) are computed once and
-published to a module cache with write-once semantics, so values can be
-shared freely between threads.
+(Phi_L, its power-reduction rows and the reduction map mod p) are computed
+once per process, on first use, and kept in functools.cache.
 
 Rational scalars are plain fractions.Fraction (always stored reduced,
 positive denominator), which is exactly the invariant the code needs.
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 __all__ = [
     "CycNum",
@@ -82,9 +81,7 @@ def _poly_divexact_monic(num, den):
     return out
 
 
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     """Coefficients (low degree first) of the monic polynomial Phi_L.
 
@@ -93,22 +90,16 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     """
     if L < 1:
         raise ValueError("conductor must be a positive integer")
-    cached = _PHI_CACHE.get(L)
-    if cached is not None:
-        return cached
     if L == 1:
-        poly = (-1, 1)
-    else:
-        num = [0] * (L + 1)
-        num[0] = -1
-        num[L] = 1
-        den = [1]
-        for d in range(1, L):
-            if L % d == 0:
-                den = _poly_mul_int(den, cyclotomic_polynomial(d))
-        poly = tuple(_poly_divexact_monic(num, den))
-    _PHI_CACHE[L] = poly
-    return poly
+        return (-1, 1)
+    num = [0] * (L + 1)
+    num[0] = -1
+    num[L] = 1
+    den = [1]
+    for d in range(1, L):
+        if L % d == 0:
+            den = _poly_mul_int(den, cyclotomic_polynomial(d))
+    return tuple(_poly_divexact_monic(num, den))
 
 
 def euler_phi(L: int) -> int:
@@ -153,15 +144,9 @@ class _Tables:
         self.power_rows = tuple(rows)
 
 
-_TABLES: dict[int, _Tables] = {}
-
-
+@cache
 def _tables(L: int) -> _Tables:
-    t = _TABLES.get(L)
-    if t is None:
-        t = _Tables(L)
-        _TABLES[L] = t  # idempotent publish
-    return t
+    return _Tables(L)
 
 
 def _content(nums, den):
@@ -532,16 +517,10 @@ class _ModImage:
         return len(self.rref(rows))
 
 
-_MOD_IMAGES: dict[int, _ModImage] = {}
-
-
+@cache
 def _mod_image(L: int) -> _ModImage:
     """The reduction map for conductor L, built on first use."""
-    img = _MOD_IMAGES.get(L)
-    if img is None:
-        img = _ModImage(L)
-        _MOD_IMAGES[L] = img  # idempotent publish
-    return img
+    return _ModImage(L)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ short rank proves nothing, and the exact computation runs.  Containment is
 checked exactly; arrangement members decide theirs from their F_p keys
 instead (rotref.arrangements).
 
-Everything here is immutable and pure; values can be shared between threads.
+Everything here is immutable and pure.
 """
 
 from __future__ import annotations

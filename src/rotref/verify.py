@@ -24,8 +24,8 @@ Claims and their checkers:
 * ``theorem``      -- the three-part non-containment certificate.
 
 Reports are deterministic given (parameters, seed); the canonical JSON form
-omits the volatile runtime field so that repeated runs and different worker
-counts produce byte-identical files.
+omits the volatile runtime field so that repeated runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -104,17 +104,6 @@ class VerificationReport:
 
     def human_lines(self):
         yield f"[{self.verdict.upper()}] {self.claim_id} {self.parameters} ({self.runtime_ms} ms)"
-
-
-def _map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], on `jobs` worker threads when jobs > 1; the
-    result order is the order of `items` either way."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _report(claim_id, parameters, verdict, certificate, t0) -> VerificationReport:
@@ -331,22 +320,17 @@ class ThresholdResult:
         }
 
 
-def compute_threshold(jobs: int = 1) -> ThresholdResult:
+def compute_threshold() -> ThresholdResult:
     """Plane and total counts of the eleven big-factor degree-4 reflection
     arrangements, and the smallest m whose wreath arrangement outgrows them.
 
     The wreath arrangement has m+2 planes and m+3 members (m >= 2), both
     invariant under orthogonal change of basis, so the derived m bounds
     apply to every position of a big-factor group."""
-
-    def counts_for(label):
+    per_group = {}
+    for label in BIG_FACTOR_LABELS:
         arr = catalog_arrangement(label)
-        return label, {
-            "planes": arr.dim_counts().get(2, 0),
-            "total": arr.size,
-        }
-
-    per_group = dict(_map(counts_for, BIG_FACTOR_LABELS, jobs))
+        per_group[label] = {"planes": arr.dim_counts().get(2, 0), "total": arr.size}
     max_planes = max(v["planes"] for v in per_group.values())
     max_total = max(v["total"] for v in per_group.values())
     result = ThresholdResult(
@@ -359,9 +343,9 @@ def compute_threshold(jobs: int = 1) -> ThresholdResult:
     return result
 
 
-def verify_threshold(jobs: int = 1) -> VerificationReport:
+def verify_threshold() -> VerificationReport:
     t0 = time.perf_counter()
-    res = compute_threshold(jobs=jobs)
+    res = compute_threshold()
     ok = res.m0_planes <= res.m0_total and res.max_planes_big_factor > 0
     dominant = max(res.per_group, key=lambda k: res.per_group[k]["planes"])
     cert = res.to_json_dict()
@@ -416,7 +400,7 @@ def _witness_against(label: str, m: int):
     }
 
 
-def verify_theorem(m: int, jobs: int = 1) -> VerificationReport:
+def verify_theorem(m: int) -> VerificationReport:
     """Three-part certificate that the wreath arrangement is contained in no
     degree-4 real reflection arrangement.
 
@@ -461,11 +445,11 @@ def verify_theorem(m: int, jobs: int = 1) -> VerificationReport:
     if m < 2:
         raise ValueError("m must be >= 2")
     t0 = time.perf_counter()
-    threshold = compute_threshold(jobs=jobs)
+    threshold = compute_threshold()
     labels = BIG_FACTOR_LABELS
 
     # -- part (i): standard positions --------------------------------------
-    payloads = _map(lambda label: _witness_against(label, m), labels, jobs)
+    payloads = [_witness_against(label, m) for label in labels]
     arrangement_source = {
         "wreath": (
             f"m+2-plane description (recomputed exhaustively for m <= "

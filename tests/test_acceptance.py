@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotref import verify
 from rotref.cyclo import CycNum
 from rotref.groups import (
     catalog_group,
@@ -339,25 +340,23 @@ def test_criterion_7_theorem_m3(tmp_path):
 
 # -- criterion 8 --------------------------------------------------------------
 
-def test_criterion_8_in_process_determinism():
-    reports_a = [
-        verify_lemma_AG(5),
-        verify_rotation_group(5),
-        verify_lemma_plane(5, 200, 0),
-        verify_dichotomy(3, 5),
-        verify_theorem(3, jobs=1),
-    ]
-    reports_b = [
-        verify_lemma_AG(5),
-        verify_rotation_group(5),
-        verify_lemma_plane(5, 200, 0),
-        verify_dichotomy(3, 5),
-        verify_theorem(3, jobs=2),
-    ]
-    blobs_a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports_a]
-    blobs_b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports_b]
+def test_criterion_8_in_process_determinism(monkeypatch):
+    def reports():
+        return [
+            verify_lemma_AG(5),
+            verify_rotation_group(5),
+            verify_lemma_plane(5, 200, 0),
+            verify_dichotomy(3, 5),
+            verify_theorem(3),
+        ]
+
+    blobs_a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports()]
+    # the second pass rebuilds every cached arrangement
+    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
+    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+    blobs_b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports()]
     ok = blobs_a == blobs_b
-    _line("8 determinism (in-process, jobs 1 vs 2)", "PASS" if ok else "FAIL")
+    _line("8 determinism (in-process, rebuilt arrangements)", "PASS" if ok else "FAIL")
     assert ok
 
 

@@ -232,7 +232,7 @@ def test_isotropy_closure_counts_on_f4(monkeypatch):
     arr = isotropy_arrangement(group)
     assert arr.dim_counts() == {0: 1, 1: 120, 2: 122, 3: 24}
     assert counts == {"subspace_intersect": 0, "subspace_contains": 0, "kernel": 0}
-    assert callable(arr._subspaces) and callable(arr._provenance)
+    assert "subspaces" not in vars(arr) and "provenance" not in vars(arr)
     assert arr.size == 267
     arr.provenance
     assert counts["subspace_contains"] == 0
@@ -245,10 +245,9 @@ def test_isotropy_closure_counts_on_f4(monkeypatch):
 def test_isotropy_provenance_built_on_read():
     g = group_from_json(group_to_json(catalog_group("B3")))
     arr = isotropy_arrangement(g)
-    embedded = arr.embed(4 * arr.conductor)
-    assert callable(arr._provenance) and callable(embedded._provenance)
-    prov = embedded.provenance
-    assert len(prov) == arr.size and not callable(arr._provenance)
+    assert "provenance" not in vars(arr)
+    prov = arr.provenance
+    assert len(prov) == arr.size and "provenance" in vars(arr)
     assert arr.provenance is prov
 
 
@@ -306,7 +305,7 @@ def test_isotropy_dims_match_exact_members():
     for g in cases:
         arr = isotropy_arrangement(g)
         dims = arr.dims
-        assert callable(arr._subspaces)
+        assert "subspaces" not in vars(arr)
         assert tuple(s.dim for s in arr.subspaces) == dims, g.name
 
 
@@ -314,7 +313,7 @@ def test_lemma_ag_leaves_wreath_provenance_unbuilt(monkeypatch):
     monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
     assert main(["lemma-ag", "--m", "5"]) == 0
     arr = verify._WREATH_ARR_CACHE[5]
-    assert callable(arr._provenance)
+    assert "provenance" not in vars(arr)
 
 
 # -- reflection arrangement -------------------------------------------------------
@@ -421,7 +420,6 @@ def test_reflection_provenance_built_on_read(monkeypatch):
     # no exact containment test
     g = catalog_group("F4")
     arr = reflection_arrangement(g)
-    embedded = arr.embed(4 * arr.conductor)
     iso = isotropy_arrangement(g)
     arr.subspaces, iso.subspaces  # built first: only the provenance reads are counted
     calls = 0
@@ -433,10 +431,10 @@ def test_reflection_provenance_built_on_read(monkeypatch):
 
     monkeypatch.setattr(linalg, "subspace_contains", counted)
     monkeypatch.setattr(arrangements, "subspace_contains", counted)
-    assert callable(arr._provenance) and callable(embedded._provenance)
+    assert "provenance" not in vars(arr)
     prov = arr.provenance
-    assert len(prov) == arr.size and not callable(arr._provenance)
-    assert embedded.provenance is prov
+    assert len(prov) == arr.size and "provenance" in vars(arr)
+    assert arr.provenance is prov
     assert len(iso.provenance) == iso.size
     assert calls == 0
 
@@ -548,12 +546,8 @@ def test_reflection_arrangement_dims_match_exact_flats():
     for g in enumerate_degree4_catalog(8):
         arr = reflection_arrangement(g)
         dims = arr.dims
-        L2 = 2 * arr.conductor
-        wide = arr.embed(L2)
-        assert callable(arr._subspaces) and callable(wide._subspaces)
-        assert wide.dims == dims and wide.size == arr.size
+        assert "subspaces" not in vars(arr)
         assert tuple(s.dim for s in arr.subspaces) == dims, g.name
-        assert [s.key for s in wide.subspaces] == [s.embed(L2).key for s in arr.subspaces]
 
 
 def test_reflection_arrangement_from_non_reflection_generators():

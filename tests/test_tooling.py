@@ -70,3 +70,27 @@ def test_every_module_import_is_used():
             if name not in named and (path.stem, name) not in _PINNED_IMPORTS
         ]
     assert unused == []
+
+
+# functools.cache, cached_property and the lazy member builders assume one
+# thread: nothing in the package takes a lock, so threads reading one cache
+# or arrangement at once could build its value twice
+_THREAD_MODULES = {"threading", "concurrent", "multiprocessing", "_thread"}
+
+
+def test_no_module_starts_threads_or_processes():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.stem}: {name}"
+                for name in names
+                if name.split(".")[0] in _THREAD_MODULES
+            ]
+    assert found == []

@@ -192,8 +192,8 @@ def test_theorem_field_route_agrees_with_the_computed_arrangements():
             assert not ok and w is not None, (label, m)
             L = math.lcm(4, m, N)
             plane = zeta_plane(L, m, 1).key
-            assert plane in small.embed(L).key_set(), (label, m)
-            assert plane not in big.embed(L).key_set(), (label, m)
+            assert plane in {u.embed(L).key for u in small.subspaces}, (label, m)
+            assert plane not in {u.embed(L).key for u in big.subspaces}, (label, m)
     assert decided == 7 * 8 + 4 * 5
 
 
@@ -539,26 +539,37 @@ def test_cli_survey_out_of_range(capsys):
     assert main(["survey", "--m-min", "2", "--m-max", "40"]) == 2
 
 
-def test_cli_threshold_honours_jobs(tmp_path, monkeypatch):
-    # the --jobs 2 run builds every arrangement anew on worker threads and
-    # must write the same bytes as the --jobs 1 run
-    compute = verify.compute_threshold
-    seen = []
-
-    def recording(jobs=1):
-        seen.append(jobs)
-        return compute(jobs=jobs)
-
-    monkeypatch.setattr(verify, "compute_threshold", recording)
+@pytest.mark.parametrize(
+    "args", [["threshold"], ["theorem", "--m", "20"]], ids=["threshold", "theorem-m20"]
+)
+def test_cli_jobs_writes_the_same_bytes(args, tmp_path, monkeypatch):
+    # --jobs is accepted and changes nothing: the --jobs 2 run, which
+    # rebuilds every arrangement, writes the same bytes as the --jobs 1 run
     blobs = []
-    for jobs in (1, 2):
-        if jobs > 1:
-            monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
-        path = tmp_path / f"threshold-{jobs}.json"
-        assert main(["threshold", "--jobs", str(jobs), "--json", str(path)]) == 0
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
+        monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+        path = tmp_path / f"jobs-{jobs}.json"
+        assert main([*args, "--jobs", jobs, "--json", str(path)]) == 0
         blobs.append(path.read_bytes())
-    assert seen == [1, 2]
     assert blobs[0] == blobs[1]
+
+
+def test_cli_theorem_builds_the_wreath_arrangement_once(monkeypatch):
+    # part (i) reads the G(20,1,2) arrangement for four groups; one build
+    # serves them all, whatever --jobs says
+    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
+    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+    build = verify.isotropy_arrangement
+    calls = []
+
+    def counted(group):
+        calls.append(group.name)
+        return build(group)
+
+    monkeypatch.setattr(verify, "isotropy_arrangement", counted)
+    assert main(["theorem", "--m", "20", "--jobs", "2"]) == 0
+    assert len(calls) == 1
 
 
 def _run_cli(args, cwd=None, timeout=30):
