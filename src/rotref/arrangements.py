@@ -44,7 +44,6 @@ from rotref.cyclo import (
 from rotref.linalg import (
     MatrixF,
     Subspace,
-    intersection_dim,
     meets_nontrivially,
     subspace_contains,  # unused here; perfbench's install probe pins this name
     subspace_intersect,
@@ -128,9 +127,6 @@ class Arrangement:
         for d in self.dims:
             out[d] = out.get(d, 0) + 1
         return out
-
-    def key_set(self):
-        return {s.key for s in self.subspaces}
 
 
 def _reflection_vector(s: MatrixF, normal):
@@ -633,13 +629,14 @@ class PlanePreconditionError(ValueError):
 def plane_meet_count(p: Subspace, m: int) -> int:
     """How many of the planes {y = zeta_m^j x}, j = 0..m-1, the plane p meets
     nontrivially.  Requires p to be a plane in R^4 meeting {x=0} and {y=0}
-    nontrivially."""
+    nontrivially: by the block-rank identity of structural_dichotomy_check,
+    p meets {x = 0} exactly when its basis has rank at most 1 in columns
+    (0, 1), and {y = 0} exactly when it has rank at most 1 in (2, 3)."""
     if p.ambient_dim != 4 or p.dim != 2:
         raise PlanePreconditionError("need a plane (dim 2) in R^4")
     L = p.conductor
-    if not meets_nontrivially(p, coordinate_plane_x0(L)) or not meets_nontrivially(
-        p, coordinate_plane_y0(L)
-    ):
+    _require_complex_structure(L)
+    if _block_rank(p.basis, (0, 1)) == 2 or _block_rank(p.basis, (2, 3)) == 2:
         raise PlanePreconditionError(
             "plane must meet both coordinate planes nontrivially"
         )
@@ -675,28 +672,30 @@ def sample_rational_plane(rng: random.Random, L: int) -> Subspace:
 # structural dichotomy for 2+2 reflection groups
 # ---------------------------------------------------------------------------
 
-def _coordinate_block_space(L: int, total: int, coords) -> Subspace:
-    one, zero = CycNum.one(L), CycNum.zero(L)
-    rows = []
-    for c in coords:
-        row = [zero] * total
-        row[c] = one
-        rows.append(row)
-    return Subspace.from_rows(total, rows, L)
+def _block_rank(basis, cols) -> int:
+    """Rank of the 2x2 block of a two-row basis in the columns `cols`: 0 when
+    its four entries are zero, 2 when its determinant is nonzero, else 1."""
+    (a, b), (c, d) = ([row[j] for j in cols] for row in basis)
+    if all(e.is_zero() for e in (a, b, c, d)):
+        return 0
+    return 1 if (a * d - b * c).is_zero() else 2
 
 
-def structural_dichotomy_check(w: MatrixGroup, blocks=((0, 1), (2, 3))):
+def structural_dichotomy_check(w: MatrixGroup):
     """Verify that every plane of the reflection arrangement of w either
-    equals one of the two coordinate block planes V1, V2 or meets each of
-    them in a line.
+    equals one of the two coordinate block planes V1 = span(e0, e1), V2 =
+    span(e2, e3) or meets each of them in a line.
 
-    w must be a direct sum of reflection groups acting inside the two
-    declared 2-dimensional blocks (degree-1 factors padded into the blocks
-    are fine).  Returns (ok, report, arrangement)."""
-    n, L = w.ambient_dim, w.conductor
-    if n != 4 or tuple(sorted(blocks[0] + blocks[1])) != (0, 1, 2, 3):
-        raise ValueError("need two complementary 2-coordinate blocks in R^4")
-    b1, b2 = set(blocks[0]), set(blocks[1])
+    w must be a direct sum of reflection groups acting inside the blocks of
+    coordinates (0, 1) and (2, 3) (degree-1 factors padded into the blocks
+    are fine).  Each meet is read from the plane's basis B (2 x 4, of rank
+    2): x = c B lies in V1 exactly when c B[:, (2, 3)] = 0, so dim(P meet
+    V1) = 2 - rank B[:, (2, 3)], and likewise dim(P meet V2) = 2 - rank
+    B[:, (0, 1)]; P = V1 exactly when the first of these ranks is 0.  Each
+    rank is that of a 2x2 block, exact with no elimination (_block_rank).
+    Returns (ok, report, arrangement)."""
+    if w.ambient_dim != 4:
+        raise ValueError("need a group acting on R^4")
     for g in w.generators:
         moved = set()
         for i in range(4):
@@ -705,28 +704,25 @@ def structural_dichotomy_check(w: MatrixGroup, blocks=((0, 1), (2, 3))):
                 if (i == j and not e.is_one()) or (i != j and not e.is_zero()):
                     moved.add(i)
                     moved.add(j)
-        if not (moved <= b1 or moved <= b2):
-            raise ValueError("generators must act inside one declared block")
+        if not (moved <= {0, 1} or moved <= {2, 3}):
+            raise ValueError("generators must act inside one coordinate block")
         if classify(g).tag != "reflection":
             raise ValueError("generators must be reflections")
-    v1 = _coordinate_block_space(L, 4, blocks[0])
-    v2 = _coordinate_block_space(L, 4, blocks[1])
     arr = reflection_arrangement(w)
     report = []
     ok = True
     for p in arr.members_of_dim(2):
-        if p.key == v1.key:
+        d1 = 2 - _block_rank(p.basis, (2, 3))
+        d2 = 2 - _block_rank(p.basis, (0, 1))
+        if d1 == 2:
             report.append("V1")
-        elif p.key == v2.key:
+        elif d2 == 2:
             report.append("V2")
+        elif d1 == 1 and d2 == 1:
+            report.append("meets-both")
         else:
-            d1 = intersection_dim(p, v1)
-            d2 = intersection_dim(p, v2)
-            if d1 == 1 and d2 == 1:
-                report.append("meets-both")
-            else:
-                report.append(f"violation(d1={d1},d2={d2})")
-                ok = False
+            report.append(f"violation(d1={d1},d2={d2})")
+            ok = False
     return ok, report, arr
 
 

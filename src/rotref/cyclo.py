@@ -235,11 +235,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- arithmetic -----------------------------------------------------
 
     def _check(self, other: "CycNum"):

@@ -137,9 +137,6 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_keys(self):
-        return {g.key for g in self.elements}
-
     def fixed_dims(self) -> tuple:
         """dim Fix(g) = n - rank(g - I mod p) for every element g, in element
         order: n minus the length of its key (_Elements.fixed_keys).
@@ -543,20 +540,6 @@ def realified_gmpn_group(m: int) -> MatrixGroup:
 # the degree <= 4 real reflection catalog
 # ---------------------------------------------------------------------------
 
-# -- exact constants over conductor 20 --------------------------------------
-
-def _pentagonal_constants():
-    L = 20
-    half = CycNum.rational(L, Fraction(1, 2))
-    i = zeta_power(L, 5)
-    z10, z10i = zeta_power(L, 2), zeta_power(L, 18)
-    cos_pi5 = (z10 + z10i) * half
-    sin_pi5 = (z10 - z10i) * half * (-i)
-    tau = cos_pi5 + cos_pi5
-    tau_inv = tau - CycNum.one(L)
-    return cos_pi5, sin_pi5, tau, tau_inv
-
-
 def _reflection_in_root(root, L):
     """Orthogonal reflection fixing the hyperplane perpendicular to root."""
     n = len(root)
@@ -585,11 +568,7 @@ def _gens_from_int_roots(roots, L=4):
 
 def _gens_I2(k: int):
     L = math.lcm(4, k)
-    half = CycNum.rational(L, Fraction(1, 2))
-    i = zeta_power(L, L // 4)
-    zk, zki = zeta_power(L, L // k), zeta_power(L, -(L // k))
-    c = (zk + zki) * half           # cos(2 pi / k)
-    s = (zk - zki) * half * (-i)    # sin(2 pi / k)
+    c, s = real_imag_parts(zeta_power(L, L // k))  # cos, sin of 2 pi / k
     one, zero = CycNum.one(L), CycNum.zero(L)
     s1 = MatrixF.from_rows([[one, zero], [zero, -one]])
     s2 = MatrixF.from_rows([[c, s], [s, -c]])
@@ -625,7 +604,9 @@ def _gens_A4():
 
 def _gens_H(rank: int):
     L = 20
-    c, s, tau, tau_inv = _pentagonal_constants()
+    c, s = real_imag_parts(zeta_power(L, 2))  # cos, sin of pi / 5
+    tau = c + c
+    tau_inv = tau - CycNum.one(L)
     zero = CycNum.zero(L)
     half = CycNum.rational(L, Fraction(1, 2))
     inv2s = (s + s).inv()
@@ -692,10 +673,6 @@ class CatalogEntry:
     trivial paddings, e.g. 'H3xA1', 'I2(5)xI2(7)', 'B3x1'."""
 
     factors: tuple  # tuple of (family, k for I2(k) or None)
-
-    @staticmethod
-    def parse(label: str) -> "CatalogEntry":
-        return parse_label(label)
 
     @property
     def label(self) -> str:

@@ -111,7 +111,7 @@ def test_criterion_3_oracle_equivalence():
         grp.ensure_elements()
         refl = catalog_arrangement(label)
         iso = isotropy_arrangement(grp)
-        if refl.key_set() != iso.key_set():
+        if {u.key for u in refl.subspaces} != {u.key for u in iso.subspaces}:
             mismatches.append(label)
     _line(
         "3 oracle equivalence",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotref import arrangements, groups, linalg, verify
-from rotref.cyclo import CycNum, real_imag_parts, zeta_power
+from rotref.cyclo import ConductorMismatch, CycNum, real_imag_parts, zeta_power
 from rotref.cli import main
 from rotref.linalg import (
     MatrixF,
@@ -50,7 +50,7 @@ from rotref.arrangements import (
     wreath_plane_list,
     zeta_plane,
 )
-from rotref.arrangements import _reflection_vector
+from rotref.arrangements import _block_rank, _reflection_vector
 
 
 # -- joint fixed spaces ----------------------------------------------------------
@@ -290,7 +290,7 @@ def test_isotropy_in_a_non_orthogonal_position_with_denominators(label):
     # those of G
     moved, h = _conjugated_by_h(label)
     arr = isotropy_arrangement(moved)
-    assert arr.key_set() == {
+    assert {u.key for u in arr.subspaces} == {
         Subspace.from_rows(4, [h.apply(row) for row in u.basis], moved.conductor).key
         for u in isotropy_arrangement(catalog_group(label)).subspaces
     }
@@ -348,7 +348,9 @@ def test_padded_arrangement_has_no_origin():
 def test_oracle_equivalence_small(label):
     g = catalog_group(label)
     g.ensure_elements()
-    assert reflection_arrangement(g).key_set() == isotropy_arrangement(g).key_set()
+    assert {u.key for u in reflection_arrangement(g).subspaces} == {
+        u.key for u in isotropy_arrangement(g).subspaces
+    }
 
 
 def test_reflection_provenance_hyperplanes():
@@ -378,7 +380,9 @@ def test_reflection_route_on_complex_reflections(m, n):
     # diag(zeta_m, 1) has order m: the search may skip the repeated moves of
     # involutions only, as s.(s.u) = s^2.u is a new flat for m > 2
     g = MatrixGroup(gmpn_generators(m, 1, n), name=f"G({m},1,{n})")
-    assert reflection_arrangement(g).key_set() == isotropy_arrangement(g).key_set()
+    assert {u.key for u in reflection_arrangement(g).subspaces} == {
+        u.key for u in isotropy_arrangement(g).subspaces
+    }
 
 
 B2_NAME = "B2 from a flip and a quarter turn"
@@ -552,10 +556,10 @@ def test_reflection_arrangement_dims_match_exact_flats():
 
 def test_reflection_arrangement_from_non_reflection_generators():
     b2 = catalog_group("B2")
-    expected = reflection_arrangement(b2).key_set()
-    assert reflection_arrangement(_b2_from_flip_and_quarter_turn()).key_set() == expected
     with_identity = MatrixGroup(b2.generators + (MatrixF.identity(2, 4),))
-    assert reflection_arrangement(with_identity).key_set() == expected
+    expected = {u.key for u in reflection_arrangement(b2).subspaces}
+    for g in (_b2_from_flip_and_quarter_turn(), with_identity):
+        assert {u.key for u in reflection_arrangement(g).subspaces} == expected
 
 
 def _q(a, b=1):
@@ -750,6 +754,14 @@ def test_meet_count_precondition_violation():
         plane_meet_count(Subspace.full(4, 20), 5)
 
 
+def test_meet_count_needs_a_complex_structure():
+    # at conductor 6 there is no i, so {x = 0} and {y = 0} are not defined
+    zero, one = CycNum.zero(6), CycNum.one(6)
+    p = Subspace.from_rows(4, [[one, zero, zero, zero], [zero, zero, one, zero]])
+    with pytest.raises(ConductorMismatch):
+        plane_meet_count(p, 3)
+
+
 @pytest.mark.parametrize("m,L", [(3, 12), (5, 20)])
 def test_meet_count_at_most_one_for_odd_m(m, L):
     rng = random.Random(0)
@@ -893,10 +905,46 @@ def test_dichotomy_for_dihedral_sums(p, q):
 
 
 def test_dichotomy_with_a1_blocks():
-    block = direct_sum(catalog_group("A1"), catalog_group("A1"))
-    w = direct_sum(block, catalog_group("I2(5)"))
-    ok, report, _ = structural_dichotomy_check(w)
+    ok, report, _ = structural_dichotomy_check(_a1_a1_i2_5())
     assert ok
+
+
+def _a1_a1_i2_5():
+    return direct_sum(direct_sum(catalog_group("A1"), catalog_group("A1")), catalog_group("I2(5)"))
+
+
+@pytest.mark.parametrize("label", ["I2(2)xI2(2)", "I2(3)xI2(5)", "I2(4)xI2(6)",
+                                   "I2(7)xI2(8)", "I2(8)xI2(8)", "A1xA1xI2(5)"])
+def test_block_rank_gives_the_exact_meets(label):
+    # dim(P meet V1) = 2 - rank B[:, (2, 3)] and dim(P meet V2) = 2 - rank
+    # B[:, (0, 1)], against the generic exact meet
+    w = _a1_a1_i2_5() if label == "A1xA1xI2(5)" else catalog_group(label)
+    L = w.conductor
+    v1, v2 = coordinate_plane_y0(L), coordinate_plane_x0(L)
+    planes = reflection_arrangement(w).members_of_dim(2)
+    assert planes
+    for u in planes:
+        assert 2 - _block_rank(u.basis, (2, 3)) == intersection_dim(u, v1)
+        assert 2 - _block_rank(u.basis, (0, 1)) == intersection_dim(u, v2)
+
+
+def test_block_rank_of_each_rank():
+    zero, one = CycNum.zero(4), CycNum.one(4)
+    v1 = coordinate_plane_y0(4).basis
+    assert _block_rank(v1, (2, 3)) == 0
+    assert _block_rank(v1, (0, 1)) == 2
+    line = Subspace.from_rows(4, [[one, zero, zero, zero], [zero, one, one, zero]]).basis
+    assert _block_rank(line, (2, 3)) == 1
+    graph = Subspace.from_rows(4, [[one, zero, one, zero], [zero, one, zero, one]]).basis
+    assert _block_rank(graph, (0, 1)) == _block_rank(graph, (2, 3)) == 2
+
+
+def test_dichotomy_runs_no_rank(monkeypatch):
+    calls = []
+    rank = linalg._rank
+    monkeypatch.setattr(linalg, "_rank", lambda *a: calls.append(1) or rank(*a))
+    assert verify.verify_dichotomy(8, 8).verdict == "pass"
+    assert calls == []
 
 
 def test_dichotomy_rejects_rotation_group():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +14,6 @@ from rotref.linalg import MatrixF, Subspace, kernel
 from rotref.groups import (
     BIG_FACTOR_LABELS,
     IRREDUCIBLE_LABELS,
-    CatalogEntry,
     ClosureCapExceeded,
     MatrixGroup,
     catalog_group,
@@ -114,7 +115,7 @@ def test_realify_monomorphism_small_m():
         cplx = closure(gmpn_generators(m, 1, 2))
         real = realified_gmpn_group(m)
         assert real.order == cplx.order == 2 * m * m
-        assert {realify(g).key for g in cplx.elements} == set(real.element_keys())
+        assert {realify(g).key for g in cplx.elements} == {g.key for g in real.elements}
 
 
 # -- closure -------------------------------------------------------------------
@@ -131,12 +132,12 @@ def test_closure_generator_order_irrelevant():
     gens = gmpn_generators(4, 1, 2)
     a = closure(gens)
     b = closure(list(reversed(gens)))
-    assert set(a.element_keys()) == set(b.element_keys())
+    assert {g.key for g in a.elements} == {g.key for g in b.elements}
 
 
 def test_closure_group_axioms():
     grp = closure(gmpn_generators(3, 1, 2))
-    keys = set(grp.element_keys())
+    keys = {g.key for g in grp.elements}
     ident = MatrixF.identity(2, grp.conductor)
     assert ident.key in keys
     for a in grp.elements:
@@ -332,13 +333,24 @@ def test_pad_trivial():
     assert g.order == 2
 
 
+# -- catalog generators ------------------------------------------------------------
+
+def test_catalog_generators_are_pinned():
+    # the cos and sin of every dihedral and pentagonal generator come from
+    # real_imag_parts of one root of unity; the generator matrices stay fixed
+    h = hashlib.sha256()
+    for label in IRREDUCIBLE_LABELS + ("I2(5)", "I2(7)", "I2(8)", "I2(12)", "I2(1000)"):
+        h.update(json.dumps(group_to_json(catalog_group(label)), sort_keys=True).encode())
+    assert h.hexdigest() == "4a893078a7e65913405bc6d793421a5e010581681e680d5b24d4b08da7076d91"
+
+
 # -- labels -----------------------------------------------------------------------
 
 def test_label_roundtrip():
     for lbl in ("A4", "B3xA1", "I2(5)xI2(7)", "H3x1", "I2(2)xA1xA1", "A1x1x1x1"):
         e = parse_label(lbl)
         assert e.label == lbl
-        assert CatalogEntry.parse(lbl) == e
+        assert parse_label(e.label) == e
 
 
 def test_label_degree_and_conductor():
@@ -481,7 +493,7 @@ def test_modular_closure_matches_exact_order():
     for grp in _equivalence_groups():
         keys = [e.key for e in grp.elements]
         assert keys == _exact_bfs_keys(grp.generators), grp
-        assert grp.element_keys() == set(keys)
+        assert len(set(keys)) == grp.order
 
 
 def test_group_fixed_dims_match_exact_fixed_spaces():
@@ -528,7 +540,7 @@ def test_exact_elements_are_built_on_demand(monkeypatch):
 
 def test_membership():
     grp = realified_gmpn_group(3)
-    keys = grp.element_keys()
+    keys = {g.key for g in grp.elements}
     assert all(e.key in keys for e in grp.elements[:4])
     outside = rat_mat(12, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert outside.key not in keys

@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rotref"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rotref"
 
 
 def _defined_name(top):
@@ -42,6 +44,65 @@ def test_every_private_helper_is_used():
     ]
     assert defined
     assert dead == []
+
+
+# public names that nothing in src/, demos/ or perfbench/ calls and that
+# rotref/__init__.py does not export, kept on purpose
+_PUBLIC_KEPT = {
+    "MatrixF.transpose": "tests build non-orthogonal conjugations from it",
+    "MatrixF.apply": "the matrix-vector product beside __matmul__",
+    "Subspace.full": "the full space, the counterpart of Subspace.zero_space",
+    "subspace_from_json": "the inverse of subspace_to_json, as matrix_from_json",
+    "PhaseValue.unit_value": "reads the phase itself once is_unit holds",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) of each public module-level function or class, and of
+    each public method, named Class.method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield top.name, top
+            if isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield f"{top.name}.{node.name}", node
+
+
+def _names(tree) -> Counter:
+    """How often `tree` names each name: as a name, an attribute or an
+    import."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def test_every_public_name_is_exported_or_used():
+    # a public function, class or method that __init__.py does not export
+    # and that no module in src/, demos/ or perfbench/ names outside its own
+    # definition serves only the tests: it is dead code, or belongs in them
+    paths = [
+        path for d in ("src/rotref", "demos", "perfbench") for path in sorted((ROOT / d).glob("*.py"))
+    ]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    exported = _names(trees[SRC / "__init__.py"])
+    unused = [
+        name
+        for path in paths
+        if path.parent == SRC
+        for name, node in _public_definitions(trees[path])
+        if name not in exported
+        and used[node.name] == _names(node)[node.name]
+        and name not in _PUBLIC_KEPT
+    ]
+    assert unused == []
 
 
 # perfbench's install probe pins arrangements.subspace_contains
