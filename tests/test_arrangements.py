@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotref import arrangements, groups, linalg, verify
-from rotref.cyclo import ConductorMismatch, CycNum, real_imag_parts, zeta_power
+from rotref.cyclo import ConductorMismatch, CycNum, _mod_image, real_imag_parts, zeta_power
 from rotref.cli import main
 from rotref.linalg import (
     MatrixF,
@@ -18,7 +18,6 @@ from rotref.linalg import (
     meets_nontrivially,
     subspace_contains,
     subspace_intersect,
-    _dot,
 )
 from rotref.groups import (
     BIG_FACTOR_LABELS,
@@ -50,7 +49,7 @@ from rotref.arrangements import (
     wreath_plane_list,
     zeta_plane,
 )
-from rotref.arrangements import _block_rank, _reflection_vector
+from rotref.arrangements import _block_rank, _mirror_mod_p
 
 
 # -- joint fixed spaces ----------------------------------------------------------
@@ -443,19 +442,37 @@ def test_reflection_provenance_built_on_read(monkeypatch):
     assert calls == 0
 
 
-@pytest.mark.parametrize("label", BIG_FACTOR_LABELS)
+def _order_3_reflection():
+    """diag(zeta_3, 1), the generator of G(3,1,2) that is not an involution."""
+    (s,) = [s for s in gmpn_generators(3, 1, 2) if not (s @ s).is_identity()]
+    return s
+
+
+@pytest.mark.parametrize("label", BIG_FACTOR_LABELS + ("diag(zeta_3,1)",))
 def test_reflection_vector_gives_the_reflection(label):
-    # the flat search applies s as x -> x - (f_s . x) v_s
-    g = catalog_group(label)
-    n, L = g.ambient_dim, g.conductor
-    one, zero = CycNum.one(L), CycNum.zero(L)
-    for s in g.generators:
-        normal = fixed_space(s).annihilator_rows()[0]
-        v = _reflection_vector(s, normal)
-        for i in range(n):
-            x = [one if j == i else zero for j in range(n)]
-            t = _dot(normal, x)
-            assert tuple(a - t * b for a, b in zip(x, v)) == s.apply(x)
+    # the flat search applies s-bar as x -> x - (f . x) v, with f and the
+    # reflection vector v from _mirror_mod_p; it keys the mirror of s by the
+    # F_p RREF of ker f, and skips the repeated moves of s only when s is an
+    # involution
+    if label in BIG_FACTOR_LABELS:
+        gens = catalog_group(label).generators
+    else:
+        gens = [_order_3_reflection()]
+    for s in gens:
+        n = s.rows
+        img = _mod_image(s.conductor)
+        p = img.p
+        key, f, v, involution = _mirror_mod_p(img, s)
+        r = img.residues(s)
+        for i in range(n):  # column i of s-bar is s-bar.e_i
+            assert [r[k * n + i] % p for k in range(n)] == [
+                (int(k == i) - f[i] * v[k]) % p for k in range(n)
+            ]
+        # key is an F_p RREF of n - 1 rows killed by f != 0: it spans ker f
+        assert any(f) and len(key) == n - 1 and img.rref(key) == key
+        assert not any(sum(a * b for a, b in zip(f, row)) % p for row in key)
+        assert key == img.rref(fixed_space(s).mod_basis_rows())
+        assert involution == (s @ s).is_identity()
 
 
 def test_reflection_arrangement_computes_no_closure():
@@ -468,8 +485,10 @@ def test_reflection_arrangement_computes_no_closure():
 def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
     # the search runs mod p and counts the members from their keys; the
     # first read of `subspaces` builds each member but the four starting
-    # mirrors by one exact move from its parent: 2099 RREFs, where the
-    # exact search made 7984, and later reads build nothing
+    # mirrors and the origin by one exact move from its parent: 2098 RREFs,
+    # where the exact search made 7984, and later reads build nothing.  The
+    # origin is cut from a line, and subspace_intersect's mod-p certificate
+    # gives that meet as 0 with no RREF
     g = catalog_group("H4")
     for s in g.generators:
         fixed_space(s)  # the starting mirrors, cached on their generators
@@ -487,9 +506,9 @@ def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
     assert arr.dim_counts() == {0: 1, 1: 1320, 2: 722, 3: 60}
     assert calls == 0
     arr.subspaces
-    assert calls == 2103 - 4
+    assert calls == 2103 - 4 - 1
     arr.subspaces
-    assert calls == 2103 - 4
+    assert calls == 2103 - 4 - 1
 
 
 def test_threshold_builds_no_exact_flat(monkeypatch):
@@ -509,7 +528,7 @@ def test_threshold_builds_no_exact_flat(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Subspace, "from_rows", staticmethod(counted(Subspace.from_rows)))
-    monkeypatch.setattr(arrangements, "_meet_hyperplane", counted(arrangements._meet_hyperplane))
+    monkeypatch.setattr(linalg, "_meet_hyperplane", counted(linalg._meet_hyperplane))
     res = verify.compute_threshold()
     assert calls == 0
     assert res.per_group["H4"] == {"planes": 722, "total": 2103}
@@ -532,8 +551,8 @@ def test_theorem_part_i_builds_no_exact_flat_where_the_field_decides(monkeypatch
 
     monkeypatch.setattr(Subspace, "from_rows",
                         staticmethod(counted("from_rows", Subspace.from_rows)))
-    monkeypatch.setattr(arrangements, "_meet_hyperplane",
-                        counted("meet", arrangements._meet_hyperplane))
+    monkeypatch.setattr(linalg, "_meet_hyperplane",
+                        counted("meet", linalg._meet_hyperplane))
     monkeypatch.setattr(verify, "wreath_arrangement",
                         counted("wreath", verify.wreath_arrangement))
     for m in (7, 12, 721):
@@ -945,6 +964,25 @@ def test_dichotomy_runs_no_rank(monkeypatch):
     monkeypatch.setattr(linalg, "_rank", lambda *a: calls.append(1) or rank(*a))
     assert verify.verify_dichotomy(8, 8).verdict == "pass"
     assert calls == []
+
+
+def test_dichotomy_makes_one_kernel_per_generator(monkeypatch):
+    # the check classifies each generator, and reflection_arrangement
+    # classifies it again and builds its mirror; the later two read the
+    # fixed space cached on the generator, so each generator costs one kernel
+    calls = 0
+    kernel = groups.kernel
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return kernel(m)
+
+    monkeypatch.setattr(groups, "kernel", counted)
+    w = direct_sum(catalog_group("I2(7)"), catalog_group("I2(8)"))  # fresh generators
+    ok, _, _ = structural_dichotomy_check(w)
+    assert ok
+    assert len(w.generators) == calls == 4
 
 
 def test_dichotomy_rejects_rotation_group():

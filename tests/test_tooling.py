@@ -46,11 +46,25 @@ def test_every_private_helper_is_used():
     assert dead == []
 
 
+def test_no_module_imports_a_private_linalg_name():
+    # linalg's private helpers serve its own public operations; another
+    # module that needs one of their jobs calls the public operation
+    found = [
+        f"{path.stem}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "rotref.linalg"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 # public names that nothing in src/, demos/ or perfbench/ calls and that
 # rotref/__init__.py does not export, kept on purpose
 _PUBLIC_KEPT = {
     "MatrixF.transpose": "tests build non-orthogonal conjugations from it",
-    "MatrixF.apply": "the matrix-vector product beside __matmul__",
     "Subspace.full": "the full space, the counterpart of Subspace.zero_space",
     "subspace_from_json": "the inverse of subspace_to_json, as matrix_from_json",
     "PhaseValue.unit_value": "reads the phase itself once is_unit holds",
