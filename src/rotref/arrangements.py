@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +54,6 @@ from rotref.groups import (
     DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     MatrixGroup,
-    classify,
     element_order,
     fixed_space,
     generating_reflections,
@@ -88,22 +88,24 @@ class Arrangement:
     """A finite set of proper subspaces in canonical order (dimension, then
     canonical basis), with a per-member provenance witness.
 
-    `dims` holds the member dimensions in that order, so `size` and
-    `dim_counts()` read no subspace.  The members are built the first time
+    `keys` holds one F_p key per member, in the order the route found them:
+    the F_p RREF of a basis of the member's reduction red X, whose length
+    is dim X by the route's lemma.  `size` and `dim_counts()` read the keys
+    and no subspace.  The exact members are built the first time
     `subspaces` or `provenance` is read: `_build()` gives each member's
-    exact basis and F_p key, in any order, and `_witnesses(keys)` the
+    exact basis, in the order of `keys`, and `_witnesses(keys)` the
     provenance of the members with those keys, in canonical order."""
 
     ambient_dim: int
     conductor: int
-    dims: tuple
+    keys: tuple
     _build: Callable = field(repr=False)
     _witnesses: Callable = field(repr=False)
 
     @cached_property
     def _ranked(self) -> list:
         """(exact basis, F_p key) of each member, in canonical order."""
-        return sorted(self._build(), key=lambda pair: pair[0].sort_key())
+        return sorted(zip(self._build(), self.keys), key=lambda pair: pair[0].sort_key())
 
     @cached_property
     def subspaces(self) -> tuple:
@@ -115,16 +117,13 @@ class Arrangement:
 
     @property
     def size(self) -> int:
-        return len(self.dims)
+        return len(self.keys)
 
     def members_of_dim(self, d: int):
         return [s for s in self.subspaces if s.dim == d]
 
     def dim_counts(self) -> dict:
-        out: dict[int, int] = {}
-        for d in self.dims:
-            out[d] = out.get(d, 0) + 1
-        return out
+        return dict(Counter(len(k) for k in self.keys))
 
 
 def _kernel_mod_p(key, n: int, p: int) -> list:
@@ -174,11 +173,11 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     members exactly.  It is a theorem, not a filter; no member is
     confirmed exactly.
 
-    Each member U-bar is keyed by the F_p RREF of rows spanning its
+    The closure keys each member U-bar by the F_p RREF of rows spanning its
     annihilator: a seed by the rows of g - I mod p (_Elements.fixed_keys),
-    a meet by the RREF of its two parents' stacked keys.  Its dimension is
-    n minus the key's length.  s contains u when every row of s's key kills
-    the F_p basis read off u's key (_kernel_mod_p, _kills).
+    a meet by the RREF of its two parents' stacked keys.  s contains u when
+    every row of s's key kills the F_p basis read off u's key
+    (_kernel_mod_p, _kills).
 
     The closure adds one seed at a time.  If M is closed under meets, so is
     M + {s} + {s meet u : u in M}, since (s meet u) meet v = s meet (u meet
@@ -189,17 +188,21 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     element i (the smallest index with that key), or as the meet of members
     a and b.
 
-    The member dimensions come from the keys.  The exact bases are built the
-    first time `subspaces` is read, once per member in discovery order: a
-    seed's is fixed_space(g_i), a meet's the subspace_intersect of its two
-    exact parents.  The route uses no reflection, so it stays an oracle for
+    The arrangement's key of a member is the F_p RREF of that basis of
+    U-bar, whose length is dim U, so `size` and `dim_counts()` come from
+    the closure alone.  The exact bases are built the first time
+    `subspaces` is read, once per member in discovery order: a seed's is
+    fixed_space(g_i), a meet's the subspace_intersect of its two exact
+    parents.  The route uses no reflection, so it stays an oracle for
     reflection_arrangement.
 
     The provenance of a member lists one fixing element per seed containing
     it; the common fixed space of those elements is the member itself.  It
     is read mod p the first time `provenance` is read: a seed is listed
-    when its key equals the member's, or when it has the larger dimension
-    and contains the member.
+    when its key is the member's closure key, or when it has the larger
+    dimension and its key rows kill the member's stored basis.  (A seed of
+    the member's dimension contains it only when it is the member; the key
+    comparison decides those seeds with no product.)
     """
     n, L = group.ambient_dim, group.conductor
     elems = group.elements
@@ -224,17 +227,17 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
         return exact
 
     def provenance(canonical):
-        out = []
-        for key in canonical:
-            basis = _kernel_mod_p(key, n, p)
-            out.append({"fixing_elements": [
+        annihilator = dict(zip(keys, members))
+        return tuple(
+            {"fixing_elements": [
                 i for s, i in seeds.items()
                 if s == key or len(s) < len(key) and _kills(s, basis, p)
-            ]})
-        return tuple(out)
+            ]}
+            for basis, key in zip(canonical, map(annihilator.get, canonical))
+        )
 
-    dims = tuple(sorted(n - len(key) for key in members))
-    return Arrangement(n, L, dims, lambda: zip(build(), members), provenance)
+    keys = tuple(elems.img.rref(_kernel_mod_p(key, n, p)) for key in members)
+    return Arrangement(n, L, keys, build, provenance)
 
 
 def _trace(g: MatrixF) -> CycNum:
@@ -325,9 +328,10 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     H_s-bar (exactly when the exact flat lies in H_s), and keys each flat
     by its canonical F_p RREF.  Its members, their order of discovery, the
     cap behaviour and the involution marks below are those of the exact
-    search.  By (b), the dimension of each flat is the length of its key,
-    so the member dimensions, and with them `size` and `dim_counts()`,
-    come from the search alone.  The exact bases are built the first time
+    search.  By (b), the dimension of each flat is the length of its key;
+    the search's keys are the arrangement's keys, so `size`,
+    `dim_counts()` and structural_dichotomy_check come from the search
+    alone.  The exact bases are built the first time
     `subspaces` is read (_exact_flats): in discovery order, each by applying
     the one move that found it exactly to its parent's basis, with linalg's
     public operations: fixed_space(s) for a mirror, s.apply over the basis
@@ -380,8 +384,7 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
             for key in canonical
         )
 
-    dims = tuple(sorted(len(key) for key in keys))
-    return Arrangement(n, L, dims, lambda: zip(_exact_flats(n, refl, moves), keys), provenance)
+    return Arrangement(n, L, tuple(keys), lambda: _exact_flats(n, refl, moves), provenance)
 
 
 def _exact_flats(n: int, refl, moves) -> list:
@@ -604,12 +607,22 @@ class PlanePreconditionError(ValueError):
     """The plane does not meet both coordinate planes nontrivially."""
 
 
+def _block_rank(basis, cols) -> int:
+    """Rank of the 2x2 block of a two-row basis in the columns `cols`: 0 when
+    its four entries are zero, 2 when its determinant is nonzero, else 1."""
+    (a, b), (c, d) = ([row[j] for j in cols] for row in basis)
+    if all(e.is_zero() for e in (a, b, c, d)):
+        return 0
+    return 1 if (a * d - b * c).is_zero() else 2
+
+
 def plane_meet_count(p: Subspace, m: int) -> int:
     """How many of the planes {y = zeta_m^j x}, j = 0..m-1, the plane p meets
     nontrivially.  Requires p to be a plane in R^4 meeting {x=0} and {y=0}
-    nontrivially: by the block-rank identity of structural_dichotomy_check,
-    p meets {x = 0} exactly when its basis has rank at most 1 in columns
-    (0, 1), and {y = 0} exactly when it has rank at most 1 in (2, 3)."""
+    nontrivially.  For its basis B (2 x 4, of rank 2), c B lies in {x = 0}
+    exactly when c B[:, (0, 1)] = 0, so p meets {x = 0} exactly when
+    rank B[:, (0, 1)] <= 1, and {y = 0} exactly when rank B[:, (2, 3)] <= 1
+    (_block_rank)."""
     if p.ambient_dim != 4 or p.dim != 2:
         raise PlanePreconditionError("need a plane (dim 2) in R^4")
     L = p.conductor
@@ -650,28 +663,34 @@ def sample_rational_plane(rng: random.Random, L: int) -> Subspace:
 # structural dichotomy for 2+2 reflection groups
 # ---------------------------------------------------------------------------
 
-def _block_rank(basis, cols) -> int:
-    """Rank of the 2x2 block of a two-row basis in the columns `cols`: 0 when
-    its four entries are zero, 2 when its determinant is nonzero, else 1."""
-    (a, b), (c, d) = ([row[j] for j in cols] for row in basis)
-    if all(e.is_zero() for e in (a, b, c, d)):
-        return 0
-    return 1 if (a * d - b * c).is_zero() else 2
-
-
 def structural_dichotomy_check(w: MatrixGroup):
     """Verify that every plane of the reflection arrangement of w either
     equals one of the two coordinate block planes V1 = span(e0, e1), V2 =
     span(e2, e3) or meets each of them in a line.
 
-    w must be a direct sum of reflection groups acting inside the blocks of
-    coordinates (0, 1) and (2, 3) (degree-1 factors padded into the blocks
-    are fine).  Each meet is read from the plane's basis B (2 x 4, of rank
-    2): x = c B lies in V1 exactly when c B[:, (2, 3)] = 0, so dim(P meet
-    V1) = 2 - rank B[:, (2, 3)], and likewise dim(P meet V2) = 2 - rank
-    B[:, (0, 1)]; P = V1 exactly when the first of these ranks is 0.  Each
-    rank is that of a 2x2 block, exact with no elimination (_block_rank).
-    Returns (ok, report, arrangement)."""
+    Contract: every generator of w acts inside the block of coordinates
+    (0, 1) or inside (2, 3) (degree-1 factors padded into the blocks are
+    fine), else ValueError; w must be generated by reflections, which
+    reflection_arrangement checks, but its generators need not be
+    reflections.  So W = W1 x W2, with W_i acting inside V_i.
+
+    Each meet is read from the plane's F_p key K (2 x 4, the RREF of a
+    basis of red X; reflection_arrangement) by lemma (d), which extends
+    (a)-(c) of reflection_arrangement:
+
+    (d) dim(X meet V1) = 2 - rank_p K[:, (2, 3)] and dim(X meet V2) =
+        2 - rank_p K[:, (0, 1)] for every flat X.  By (c), X = Fix(H) for
+        some H <= W.  Let H1 <= W1 be the projection of H onto the first
+        block; then H1 x 1 <= W.  For x in V1, h.x = h1.x, so Fix(H1 x 1)
+        = (X meet V1) + V2, and mod p Fix(H1-bar x 1) = (red X meet
+        F_p V1) + F_p V2.  (b) for H1 x 1 gives dim(X meet V1) =
+        dim(red X meet F_p V1), and c K lies in F_p V1 exactly when
+        c K[:, (2, 3)] = 0.  The same holds for V2.  Neither block plane
+        has to be a flat (in A1x1xI2(5), V2 is not one).
+
+    X = V1 exactly when dim(X meet V1) = 2.  No exact flat is built.  The
+    report lists one entry per plane, in the order the search found the
+    planes.  Returns (ok, report, arrangement)."""
     if w.ambient_dim != 4:
         raise ValueError("need a group acting on R^4")
     for g in w.generators:
@@ -684,14 +703,15 @@ def structural_dichotomy_check(w: MatrixGroup):
                     moved.add(j)
         if not (moved <= {0, 1} or moved <= {2, 3}):
             raise ValueError("generators must act inside one coordinate block")
-        if classify(g).tag != "reflection":
-            raise ValueError("generators must be reflections")
     arr = reflection_arrangement(w)
+    rank = _mod_image(arr.conductor).rank
     report = []
     ok = True
-    for p in arr.members_of_dim(2):
-        d1 = 2 - _block_rank(p.basis, (2, 3))
-        d2 = 2 - _block_rank(p.basis, (0, 1))
+    for key in arr.keys:
+        if len(key) != 2:
+            continue
+        d1 = 2 - rank([row[2:] for row in key])
+        d2 = 2 - rank([row[:2] for row in key])
         if d1 == 2:
             report.append("V1")
         elif d2 == 2:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from rotref.cyclo import CONDUCTOR_CAP
@@ -68,6 +69,7 @@ __all__ = [
     "verify_lemma_plane",
     "verify_dichotomy",
     "compute_threshold",
+    "verify_threshold",
     "verify_theorem",
     "survey_containments",
     "wreath_arrangement",
@@ -285,9 +287,7 @@ def verify_dichotomy(p: int, q: int) -> VerificationReport:
         raise ValueError("p, q must be >= 2")
     t0 = time.perf_counter()
     ok, report, _ = structural_dichotomy_check(catalog_group(f"I2({p})xI2({q})"))
-    tally = {}
-    for r in report:
-        tally[r] = tally.get(r, 0) + 1
+    tally = Counter(report)
     cert = {
         "group": f"I2({p})xI2({q})",
         "plane_count": len(report),

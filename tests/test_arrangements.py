@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from rotref.groups import (
     ClosureCapExceeded,
     MatrixGroup,
     catalog_group,
+    classify,
     closure,
     direct_sum,
     enumerate_degree4_catalog,
@@ -303,9 +305,9 @@ def test_isotropy_dims_match_exact_members():
     cases = enumerate_degree4_catalog(8) + [realified_gmpn_group(m) for m in range(1, 13)]
     for g in cases:
         arr = isotropy_arrangement(g)
-        dims = arr.dims
+        dims = sorted(len(k) for k in arr.keys)
         assert "subspaces" not in vars(arr)
-        assert tuple(s.dim for s in arr.subspaces) == dims, g.name
+        assert [s.dim for s in arr.subspaces] == dims, g.name
 
 
 def test_lemma_ag_leaves_wreath_provenance_unbuilt(monkeypatch):
@@ -568,9 +570,9 @@ def test_reflection_arrangement_dims_match_exact_flats():
     # built; the exact flats, once built, must have the same dimensions
     for g in enumerate_degree4_catalog(8):
         arr = reflection_arrangement(g)
-        dims = arr.dims
+        dims = sorted(len(k) for k in arr.keys)
         assert "subspaces" not in vars(arr)
-        assert tuple(s.dim for s in arr.subspaces) == dims, g.name
+        assert [s.dim for s in arr.subspaces] == dims, g.name
 
 
 def test_reflection_arrangement_from_non_reflection_generators():
@@ -967,9 +969,9 @@ def test_dichotomy_runs_no_rank(monkeypatch):
 
 
 def test_dichotomy_makes_one_kernel_per_generator(monkeypatch):
-    # the check classifies each generator, and reflection_arrangement
-    # classifies it again and builds its mirror; the later two read the
-    # fixed space cached on the generator, so each generator costs one kernel
+    # reflection_arrangement classifies each generator once, by its exact
+    # fixed space; the check reads its planes from the F_p keys and builds
+    # no exact flat, so each generator costs one kernel and nothing else does
     calls = 0
     kernel = groups.kernel
 
@@ -983,6 +985,93 @@ def test_dichotomy_makes_one_kernel_per_generator(monkeypatch):
     ok, _, _ = structural_dichotomy_check(w)
     assert ok
     assert len(w.generators) == calls == 4
+
+
+def _block_shaped(w):
+    """Whether every generator of w acts inside coordinates (0, 1) or (2, 3)."""
+    def moved(g):
+        return {
+            k
+            for i in range(4)
+            for j in range(4)
+            if not (g.entry(i, j).is_one() if i == j else g.entry(i, j).is_zero())
+            for k in (i, j)
+        }
+
+    return w.ambient_dim == 4 and all(
+        moved(g) <= {0, 1} or moved(g) <= {2, 3} for g in w.generators
+    )
+
+
+def _block_conjugate(label):
+    """The catalog group `label` conjugated by the block-diagonal T =
+    [[2, 1], [1, 1]] + [[3, 1/2], [1, -2]], which keeps V1 and V2; T^-1 has
+    denominator 13."""
+    w = catalog_group(label)
+    L = w.conductor
+
+    def matrix(rows):
+        return MatrixF.from_rows([[CycNum.rational(L, Fraction(x)) for x in r] for r in rows])
+
+    t = matrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, "1/2"], [0, 0, 1, -2]])
+    t_inv = matrix([[1, -1, 0, 0], [-1, 2, 0, 0], [0, 0, "4/13", "1/13"], [0, 0, "2/13", "-6/13"]])
+    assert (t @ t_inv).is_identity() and t_inv.den == 13
+    return MatrixGroup([t @ g @ t_inv for g in w.generators], name=f"T.{label}")
+
+
+_LEMMA_D_CASES = (
+    [g for g in enumerate_degree4_catalog(8) if _block_shaped(g)]
+    + [catalog_group("A1x1xI2(5)"), catalog_group("1xA1xI2(5)")]
+    + [_block_conjugate(label) for label in ("I2(5)xI2(8)", "I2(3)xI2(4)", "A1x1xI2(5)")]
+)
+
+
+@pytest.mark.parametrize("w", _LEMMA_D_CASES, ids=lambda w: w.name)
+def test_dichotomy_keys_give_the_exact_meets(w):
+    # lemma (d) of structural_dichotomy_check: dim(X meet V1) = 2 - rank_p
+    # K[:, (2, 3)] and dim(X meet V2) = 2 - rank_p K[:, (0, 1)] for the F_p
+    # key K of each plane X, against the exact meets; in A1x1xI2(5) V2 is
+    # no flat, and the conjugates move every other plane off the blocks
+    assert _block_shaped(w)
+    L = w.conductor
+    rank = _mod_image(L).rank
+    v1, v2 = coordinate_plane_y0(L), coordinate_plane_x0(L)
+    ok, report, arr = structural_dichotomy_check(w)
+    exact = []
+    for u, key in arr._ranked:
+        if u.dim == 2:
+            d1, d2 = intersection_dim(u, v1), intersection_dim(u, v2)
+            assert (2 - rank([row[2:] for row in key]), 2 - rank([row[:2] for row in key])) == (d1, d2)
+            exact.append("V1" if d1 == 2 else "V2" if d2 == 2 else (d1, d2))
+    assert ok
+    assert set(exact) <= {"V1", "V2", (1, 1)}
+    assert Counter(report) == Counter(r if r != (1, 1) else "meets-both" for r in exact)
+
+
+def test_lemma_d_cases_include_a_block_plane_that_is_no_flat():
+    names = [w.name for w in _LEMMA_D_CASES]
+    assert len(names) == len(set(names)) == 53 + 2 + 3
+    _, report, _ = structural_dichotomy_check(catalog_group("A1x1xI2(5)"))
+    assert sorted(report) == ["V1"] + ["meets-both"] * 5
+
+
+def test_dichotomy_builds_no_exact_flat(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dichotomy built an exact flat")
+
+    monkeypatch.setattr(arrangements, "_exact_flats", refuse)
+    assert verify.verify_dichotomy(7, 8).verdict == "pass"
+
+
+def test_dichotomy_needs_only_generation_by_reflections():
+    # B2 generated by a flip and a quarter turn is still a reflection group
+    # acting inside one block
+    b2 = _b2_from_flip_and_quarter_turn()
+    assert any(classify(g).tag != "reflection" for g in b2.generators)
+    ok, report, _ = structural_dichotomy_check(direct_sum(b2, catalog_group("I2(3)")))
+    _, standard, _ = structural_dichotomy_check(catalog_group("I2(4)xI2(3)"))
+    assert ok
+    assert Counter(report) == Counter(standard) == {"V1": 1, "V2": 1, "meets-both": 12}
 
 
 def test_dichotomy_rejects_rotation_group():

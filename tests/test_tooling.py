@@ -169,3 +169,38 @@ def test_no_module_starts_threads_or_processes():
                 if name.split(".")[0] in _THREAD_MODULES
             ]
     assert found == []
+
+
+def test_every_all_lists_the_public_definitions():
+    # `from rotref.<module> import *` reads __all__: it must list every public
+    # module-level function and class of its module, and only names the
+    # module binds (__init__.py binds its names by import)
+    wrong = []
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        listed = next(
+            (ast.literal_eval(top.value) for top in tree.body if _defined_name(top) == "__all__"),
+            None,
+        )
+        if listed is None:
+            continue
+        checked += 1
+        public = {
+            top.name
+            for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
+        }
+        bound = {_defined_name(top) for top in tree.body}
+        if path.name == "__init__.py":
+            bound |= {
+                alias.asname or alias.name
+                for top in tree.body
+                if isinstance(top, ast.ImportFrom)
+                for alias in top.names
+            }
+        wrong += [f"{path.stem}.{name} is not in __all__" for name in sorted(public - set(listed))]
+        wrong += [f"{path.stem}.__all__ lists {name}" for name in listed if name not in bound]
+        wrong += [f"{path.stem}.__all__ repeats {name}" for name, k in Counter(listed).items() if k > 1]
+    assert checked
+    assert wrong == []
