@@ -12,6 +12,7 @@ nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -98,7 +99,10 @@ def _group_from_ref(ref: str):
     return catalog_group(parse_label(ref))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every main() call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write a canonical JSON report")
     common.add_argument(
@@ -166,8 +170,11 @@ def main(argv=None) -> int:
     p.add_argument("--m-min", type=int, default=2, dest="m_min")
     p.add_argument("--m-max", type=int, default=8, dest="m_max")
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
+    return top
 
-    args = top.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         return _dispatch(args)

@@ -439,12 +439,27 @@ def _is_prime(n: int) -> bool:
 
 class _ModImage:
     """Ring homomorphism Z[zeta_L] -> F_p with p = 1 (mod L); zeta_L maps to
-    an element of exact multiplicative order L, hence to a root of Phi_L."""
+    an element of exact multiplicative order L, hence to a root of Phi_L.
+
+    p is the first prime p = 1 (mod L) above 2^29.  The lemmas that make
+    reduction exact ask only that
+    * p = 1 (mod L), so that the map exists;
+    * p is odd (Minkowski's injectivity argument, groups._Elements);
+    * p > groups.DEFAULT_CLOSURE_CAP >= |G| (the projector argument of
+      MatrixGroup.fixed_dims and isotropy_arrangement);
+    * p > n + 1 for the ambient dimension n (lemma (a) of
+      reflection_arrangement);
+    * p divides no generator denominator; `residues` raises ValueError for
+      one that it divides.
+    Any prime above 2^29 meets the first four for every group here.  For
+    every L <= CONDUCTOR_CAP, p < 2^30, so each residue is one 30-bit
+    CPython digit, a product of two is at most two, and `% p` divides by a
+    one-digit integer."""
 
     __slots__ = ("p", "powers")
 
     def __init__(self, L: int):
-        p = ((1 << 41) // L + 1) * L + 1
+        p = ((1 << 29) // L + 1) * L + 1
         while not _is_prime(p):
             p += L
         self.p = p
@@ -491,11 +506,15 @@ class _ModImage:
         rows = [[a % p for a in r] for r in rows]
         rank = 0
         for col in range(len(rows[0]) if rows else 0):
-            sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if sel is None:
+            for sel in range(rank, len(rows)):
+                if rows[sel][col]:
+                    break
+            else:
                 continue
-            inv = pow(rows[sel][col], -1, p)
-            prow = [a * inv % p for a in rows[sel]]
+            prow = rows[sel]
+            if prow[col] != 1:
+                inv = pow(prow[col], -1, p)
+                prow = [a * inv % p for a in prow]
             rows[sel] = rows[rank]
             rows[rank] = prow
             for r, row in enumerate(rows):
@@ -505,7 +524,7 @@ class _ModImage:
             rank += 1
             if rank == len(rows):
                 break
-        return tuple(tuple(r) for r in rows[:rank])
+        return tuple(map(tuple, rows[:rank]))
 
     def rank(self, rows) -> int:
         """Rank over F_p of integer rows, taken mod p."""

@@ -526,13 +526,25 @@ def realify(m: MatrixF) -> MatrixF:
     return MatrixF.from_rows(rows)
 
 
+_WREATH_CACHE: dict[int, MatrixGroup] = {}
+
+
 def realified_gmpn_group(m: int) -> MatrixGroup:
     """The rotation group of interest: G(m,1,2) realified into O_4.  Its
     order 2m^2 is known, so a group above the closure cap is refused before
-    any search (_Elements), and the search must reach exactly that order."""
+    any search (_Elements), and the search must reach exactly that order.
+
+    The group is cached per m within the process (groups are immutable), so
+    every caller shares one residue search, one tuple of fixed keys and
+    every exact element any of them has read.  A build that raises caches
+    nothing."""
+    cached = _WREATH_CACHE.get(m)
+    if cached is not None:
+        return cached
     gens = [realify(g) for g in gmpn_generators(m, 1, 2)]
     grp = MatrixGroup(gens, name=f"G({m},1,2)r", order=gmpn_order(m, 1, 2))
     grp.ensure_elements()
+    _WREATH_CACHE[m] = grp
     return grp
 
 

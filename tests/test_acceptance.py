@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import pytest
 
-from rotref import verify
 from rotref.cyclo import CycNum
 from rotref.groups import (
     catalog_group,
@@ -340,7 +339,7 @@ def test_criterion_7_theorem_m3(tmp_path):
 
 # -- criterion 8 --------------------------------------------------------------
 
-def test_criterion_8_in_process_determinism(monkeypatch):
+def test_criterion_8_in_process_determinism(fresh_caches):
     def reports():
         return [
             verify_lemma_AG(5),
@@ -351,9 +350,8 @@ def test_criterion_8_in_process_determinism(monkeypatch):
         ]
 
     blobs_a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports()]
-    # the second pass rebuilds every cached arrangement
-    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
-    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+    # the second pass rebuilds every cached group and arrangement
+    fresh_caches()
     blobs_b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports()]
     ok = blobs_a == blobs_b
     _line("8 determinism (in-process, rebuilt arrangements)", "PASS" if ok else "FAIL")

@@ -310,8 +310,7 @@ def test_isotropy_dims_match_exact_members():
         assert [s.dim for s in arr.subspaces] == dims, g.name
 
 
-def test_lemma_ag_leaves_wreath_provenance_unbuilt(monkeypatch):
-    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
+def test_lemma_ag_leaves_wreath_provenance_unbuilt(fresh_caches):
     assert main(["lemma-ag", "--m", "5"]) == 0
     arr = verify._WREATH_ARR_CACHE[5]
     assert "provenance" not in vars(arr)
@@ -513,10 +512,9 @@ def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
     assert calls == 2103 - 4 - 1
 
 
-def test_threshold_builds_no_exact_flat(monkeypatch):
+def test_threshold_builds_no_exact_flat(monkeypatch, fresh_caches):
     # the threshold counts each group's members from their F_p keys, whose
     # lengths are the exact dimensions by (b) of reflection_arrangement
-    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
     for label in BIG_FACTOR_LABELS:
         for s in catalog_group(label).generators:
             fixed_space(s)  # generating_reflections classifies by these
@@ -537,12 +535,10 @@ def test_threshold_builds_no_exact_flat(monkeypatch):
     assert (res.m0_planes, res.m0_total) == (721, 2101)
 
 
-def test_theorem_part_i_builds_no_exact_flat_where_the_field_decides(monkeypatch):
+def test_theorem_part_i_builds_no_exact_flat_where_the_field_decides(monkeypatch, fresh_caches):
     # at m = 7, 12 and 721 cos(2 pi/m) lies outside every big-factor field,
     # so part (i) builds no wreath arrangement and no exact flat; only the
     # generators' fixed spaces, read by generating_reflections, remain
-    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
-    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
     calls = {"from_rows": 0, "meet": 0, "wreath": 0}
 
     def counted(name, fn):

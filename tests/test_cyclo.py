@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotref.cyclo import (
+    CONDUCTOR_CAP,
     ConductorMismatch,
     CycNum,
     cyc_from_json,
@@ -33,6 +34,7 @@ from rotref.cyclo import (
     _pi,
     _poly_mul_int,
 )
+from rotref.groups import DEFAULT_CLOSURE_CAP
 
 
 # -- cyclotomic polynomials -------------------------------------------------
@@ -424,6 +426,77 @@ def test_mod_image_is_a_ring_map(L):
         ia, ib = img.integral(a.num), img.integral(b.num)
         assert img.integral((a + b).num) == (ia + ib) % p
         assert img.integral((a * b).num) == ia * ib % p
+
+
+def _is_prime_by_trial(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize(
+    "L", sorted({*range(1, 61), 991, 996, 997, 998, 999, CONDUCTOR_CAP})
+)
+def test_mod_image_prime(L):
+    # each residue fits in one 30-bit CPython digit, and p meets every
+    # condition of the lemmas that make reduction exact (_ModImage)
+    img = _mod_image(L)
+    p = img.p
+    assert _is_prime_by_trial(p)
+    assert (p - 1) % L == 0
+    assert DEFAULT_CLOSURE_CAP < p < 1 << 30
+    if euler_phi(L) > 1:
+        z = img.powers[1]  # the image of zeta_L
+        assert pow(z, L, p) == 1
+        assert all(pow(z, L // q, p) != 1 for q in range(2, L + 1) if L % q == 0)
+
+
+def _textbook_rref(rows, p):
+    """Forward elimination to echelon form, then back substitution."""
+    rows = [[a % p for a in r] for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if rows[i][col]]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] * pow(rows[r][col], p - 2, p)
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        scale = pow(rows[r][col], p - 2, p)
+        rows[r] = [a * scale % p for a in rows[r]]
+        for i in range(r):
+            f = rows[i][col]
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+    return tuple(tuple(r) for r in rows[: len(pivots)])
+
+
+@st.composite
+def _rref_case(draw):
+    img = _mod_image(draw(st.sampled_from([1, 4, 12, 20, 60])))
+    p = img.p
+    cols = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.builds(lambda a, k: a + k * p, st.integers(-3, 3), st.integers(-2, 2)),
+        st.integers(-(1 << 62), 1 << 62),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    # zero rows and repeated rows, up to 8 rows in all
+    extra = draw(st.lists(st.integers(-1, len(rows) - 1), max_size=8 - len(rows)))
+    rows += [[0] * cols if i < 0 else list(rows[i]) for i in extra]
+    return img, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_case())
+def test_mod_rref_matches_textbook_elimination(case):
+    img, rows = case
+    key = img.rref(rows)
+    assert key == _textbook_rref(rows, img.p)
+    assert img.rref(key) == key
 
 
 def test_no_mod_image_is_built_at_import():

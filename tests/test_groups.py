@@ -516,7 +516,7 @@ def test_h4_codimension_histogram():
     assert hist == {0: 1, 1: 60, 2: 1138, 3: 7140, 4: 6061}
 
 
-def test_exact_elements_are_built_on_demand(monkeypatch):
+def test_exact_elements_are_built_on_demand(monkeypatch, fresh_caches):
     grp = realified_gmpn_group(7)
     calls = []
     matmul = MatrixF.__matmul__

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -204,3 +205,24 @@ def test_every_all_lists_the_public_definitions():
         wrong += [f"{path.stem}.__all__ repeats {name}" for name, k in Counter(listed).items() if k > 1]
     assert checked
     assert wrong == []
+
+
+def test_fresh_caches_resets_every_cache(request):
+    # a per-process cache that the fresh_caches fixture (tests/conftest.py)
+    # misses lets an earlier test's build leak into a test that counts work
+    found = [
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in map(_defined_name, ast.parse(path.read_text(), str(path)).body)
+        if name and name.startswith("_") and name.endswith("_CACHE")
+    ]
+    modules = {stem: importlib.import_module(f"rotref.{stem}") for stem, _ in found}
+    before = {(stem, name): getattr(modules[stem], name) for stem, name in found}
+    request.getfixturevalue("fresh_caches")
+    kept = [
+        f"{stem}.{name}"
+        for (stem, name), old in before.items()
+        if getattr(modules[stem], name) is old or getattr(modules[stem], name) != {}
+    ]
+    assert len(found) >= 5
+    assert kept == []

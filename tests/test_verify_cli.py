@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotref import groups, verify
+from rotref import cli, groups, verify
 from rotref.arrangements import arrangement_contains, zeta_plane
 from rotref.cli import main
 from rotref.cyclo import euler_phi
@@ -23,6 +24,7 @@ from rotref.verify import (
     verify_lemma_plane,
     verify_rotation_group,
 )
+from test_byte_pins import CLI_JSON_SHA256
 
 
 # -- verification operations -----------------------------------------------
@@ -61,7 +63,7 @@ def test_rotation_rejects_m1():
 
 
 @pytest.mark.parametrize("m", [5, 11, 12])
-def test_wreath_checks_compute_few_kernels(monkeypatch, m):
+def test_wreath_checks_compute_few_kernels(monkeypatch, fresh_caches, m):
     # of the 2m^2 elements of G(m,1,2), only the 3m - 1 with eigenvalue 1
     # (the identity included) fix more than the origin; a full rank of
     # g - I mod p settles all the others with no kernel
@@ -73,7 +75,6 @@ def test_wreath_checks_compute_few_kernels(monkeypatch, m):
         return kernel(mat)
 
     monkeypatch.setattr(groups, "kernel", counting)
-    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
     assert verify_lemma_AG(m).passed
     assert len(calls) <= 3 * m - 1
     calls.clear()
@@ -542,24 +543,22 @@ def test_cli_survey_out_of_range(capsys):
 @pytest.mark.parametrize(
     "args", [["threshold"], ["theorem", "--m", "20"]], ids=["threshold", "theorem-m20"]
 )
-def test_cli_jobs_writes_the_same_bytes(args, tmp_path, monkeypatch):
+def test_cli_jobs_writes_the_same_bytes(args, tmp_path, fresh_caches):
     # --jobs is accepted and changes nothing: the --jobs 2 run, which
-    # rebuilds every arrangement, writes the same bytes as the --jobs 1 run
+    # rebuilds every group and arrangement, writes the same bytes as the
+    # --jobs 1 run
     blobs = []
     for jobs in ("1", "2"):
-        monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
-        monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
+        fresh_caches()
         path = tmp_path / f"jobs-{jobs}.json"
         assert main([*args, "--jobs", jobs, "--json", str(path)]) == 0
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
 
 
-def test_cli_theorem_builds_the_wreath_arrangement_once(monkeypatch):
+def test_cli_theorem_builds_the_wreath_arrangement_once(monkeypatch, fresh_caches):
     # part (i) reads the G(20,1,2) arrangement for four groups; one build
     # serves them all, whatever --jobs says
-    monkeypatch.setattr(verify, "_WREATH_ARR_CACHE", {})
-    monkeypatch.setattr(verify, "_CATALOG_ARR_CACHE", {})
     build = verify.isotropy_arrangement
     calls = []
 
@@ -570,6 +569,52 @@ def test_cli_theorem_builds_the_wreath_arrangement_once(monkeypatch):
     monkeypatch.setattr(verify, "isotropy_arrangement", counted)
     assert main(["theorem", "--m", "20", "--jobs", "2"]) == 0
     assert len(calls) == 1
+
+
+def test_cli_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_cli_parser_keeps_nothing_between_calls(tmp_path, capsys):
+    # one parser serves every call: an option given once does not stick, and
+    # a call that argparse refuses leaves the next one working
+    path = tmp_path / "arr.json"
+    args = ["arrangement", "compute", "A1xA1x1x1", "--json", str(path)]
+    assert main([*args, "--method", "isotropy"]) == 0
+    assert json.loads(path.read_text())["method"] == "isotropy"
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--method", "orbit"])
+    assert exc.value.code == 2
+    assert main(args) == 0
+    assert json.loads(path.read_text())["method"] == "reflection"
+
+
+def test_rotation_and_lemma_ag_share_one_group(monkeypatch, fresh_caches, tmp_path, capsys):
+    # both checks read G(7,1,2) from one cached group: one residue search,
+    # and both reports keep their pinned bytes
+    init = groups._Elements.__init__
+    built = []
+
+    def counted(self, group):
+        built.append(group.name)
+        init(self, group)
+
+    monkeypatch.setattr(groups._Elements, "__init__", counted)
+    for args in ("rotation --m 7", "lemma-ag --m 7"):
+        path = tmp_path / "report.json"
+        code = main(args.split() + ["--json", str(path)])
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (code, digest) == CLI_JSON_SHA256[args]
+    assert built == ["G(7,1,2)r"]
+    assert groups.realified_gmpn_group(7) is groups.realified_gmpn_group(7)
+
+
+@pytest.mark.parametrize("m, error", [(101, groups.ClosureCapExceeded), (1001, ValueError)])
+def test_refused_wreath_group_is_not_cached(fresh_caches, m, error):
+    # above the closure cap (2m^2 > 20000) or the conductor cap
+    with pytest.raises(error):
+        groups.realified_gmpn_group(m)
+    assert groups._WREATH_CACHE == {}
 
 
 def _run_cli(args, cwd=None, timeout=30):
