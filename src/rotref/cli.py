@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from rotref.arrangements import (
@@ -46,8 +47,65 @@ USAGE_ERROR = 2
 
 
 def _dump_json(path: str, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(_canonical_json(payload), encoding="utf-8")
+
+
+def _canonical_json(payload) -> str:
+    """The text of json.dumps(payload, sort_keys=True, indent=2) + "\n".
+
+    CPython's C encoder takes no indent, so json.dumps would run the
+    pure-Python one; this writer builds the same text from dicts with str or
+    int keys, lists, tuples, strings, ints, booleans and None, and raises
+    TypeError on anything else."""
+    out = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, nl: str, out: list):
+    """Append the text of obj, whose first line is already indented and
+    whose later lines start with nl, to out."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        if not obj:
+            out.append("[]")
+        elif all(type(v) is str for v in obj):
+            out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]")
+        elif all(type(v) is int for v in obj):
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + nl + "]")
+        else:
+            sep = "["
+            for v in obj:
+                out.append(sep + inner)
+                sep = ","
+                _write_json(v, inner, out)
+            out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{"
+        for k, v in sorted(obj.items()):
+            if type(k) is int:
+                k = str(k)
+            elif not isinstance(k, str):
+                raise TypeError(f"JSON keys must be str or int, not {type(k).__name__}")
+            out.append(sep + inner + _quote(k) + ": ")
+            sep = ","
+            _write_json(v, inner, out)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit_reports(reports, json_path):

@@ -9,8 +9,11 @@ numerator vectors and denominators coincide, so CycNum values hash and
 compare structurally.
 
 All values are immutable; every operation is pure.  Per-conductor tables
-(Phi_L, its power-reduction rows and the reduction map mod p) are computed
-once per process, on first use, and kept in functools.cache.
+(Phi_L, its power-reduction rows, their nonzero terms `power_terms`, the
+unit subgroup chain of `CycNum.inv` and the reduction map mod p) are
+computed once per process, on first use, and kept in functools.cache.
+Products, Galois maps and embeddings loop over nonzero terms only: the
+right operand's, and those of each `power_terms` row they add.
 
 Rational scalars are plain fractions.Fraction (always stored reduced,
 positive denominator), which is exactly the invariant the code needs.
@@ -111,7 +114,7 @@ def euler_phi(L: int) -> int:
 # ---------------------------------------------------------------------------
 
 class _Tables:
-    __slots__ = ("L", "phi", "poly", "power_rows")
+    __slots__ = ("L", "phi", "poly", "power_rows", "power_terms")
 
     def __init__(self, L: int):
         self.L = L
@@ -142,11 +145,19 @@ class _Tables:
                 prev = tuple(nxt)
                 rows.append(prev)
         self.power_rows = tuple(rows)
+        # power_terms[e] = the nonzero (index, coefficient) pairs of
+        # power_rows[e]: the kernels add these alone
+        self.power_terms = tuple(tuple(_terms(row)) for row in rows)
 
 
 @cache
 def _tables(L: int) -> _Tables:
     return _Tables(L)
+
+
+def _terms(vec) -> list:
+    """The nonzero (index, value) pairs of a coefficient vector."""
+    return [(i, v) for i, v in enumerate(vec) if v]
 
 
 def _content(nums, den):
@@ -274,25 +285,25 @@ class CycNum:
         self._check(other)
         t = _tables(self.conductor)
         phi = t.phi
-        a, b = self.num, other.num
+        terms = _terms(other.num)
         acc = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc[i + j] += ai * bj
-        rows = t.power_rows
-        for k in range(2 * phi - 2, phi - 1, -1):
-            ck = acc[k]
-            if ck:
-                row = rows[k]
-                for i in range(phi):
-                    acc[i] += ck * row[i]
+                for j, bj in terms:
+                    acc[i + j] += ai * bj
+        _reduce(acc, t)
         return CycNum.make(self.conductor, acc[:phi], self.den * other.den)
 
     def inv(self) -> "CycNum":
         """a^-1 = prod_{k != 1} sigma_k(a) / N(a), with k over (Z/L)^x and
-        N(a) = a * prod_{k != 1} sigma_k(a) the rational field norm."""
+        N(a) = a * prod_{k != 1} sigma_k(a) the rational field norm.
+
+        The product runs up the subgroup chain of _unit_chain(L) (H. Cohen,
+        A Course in Computational Algebraic Number Theory, GTM 138, ch. 4):
+        with N_0 = a, R_0 = 1 and C_j = prod_{i=1}^{e_j-1} sigma_{g_j}^i(N_{j-1}),
+        N_j = N_{j-1} * C_j is fixed by H_j and R_j = R_{j-1} * C_j, so that
+        a * R_j = N_j, and at the top N_j = N(a).  Each C_j is built by
+        doubling, so an inverse takes O(sum log e_j) products, not phi(L)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_L)")
         key = (self.conductor, self.num, self.den)
@@ -300,11 +311,10 @@ class CycNum:
         if cached is not None:
             return cached
         L = self.conductor
-        rest = CycNum.one(L)
-        for k in range(2, L):
-            if math.gcd(k, L) == 1:
-                rest = rest * self.galois(k)
-        norm = self * rest
+        rest, norm = CycNum.one(L), self
+        for g, e in _unit_chain(L):
+            c = _orbit_product(norm, g, e - 1)
+            rest, norm = rest * c, norm * c
         if not norm.is_rational() or norm.is_zero():
             raise ArithmeticError("field norm is not a nonzero rational")
         out = CycNum.make(
@@ -322,14 +332,12 @@ class CycNum:
         k %= L
         if math.gcd(k, L) != 1:
             raise ValueError(f"{k} is not a unit mod {L}")
-        t = _tables(L)
-        phi = t.phi
-        acc = [0] * phi
+        terms = _tables(L).power_terms
+        acc = [0] * len(self.num)
         for i, v in enumerate(self.num):
             if v:
-                row = t.power_rows[(i * k) % L]
-                for j in range(phi):
-                    acc[j] += v * row[j]
+                for j, c in terms[(i * k) % L]:
+                    acc[j] += v * c
         return CycNum.make(L, acc, self.den)
 
     def conj(self) -> "CycNum":
@@ -346,9 +354,8 @@ class CycNum:
         acc = [0] * t2.phi
         for i, v in enumerate(self.num):
             if v:
-                row = t2.power_rows[i * step]
-                for k in range(t2.phi):
-                    acc[k] += v * row[k]
+                for k, c in t2.power_terms[i * step]:
+                    acc[k] += v * c
         return CycNum.make(L2, acc, self.den)
 
     # -- identity -------------------------------------------------------
@@ -396,6 +403,55 @@ class CycNum:
 
 
 _INV_CACHE: dict[tuple, CycNum] = {}
+
+
+def _reduce(acc, t: _Tables):
+    """Fold the coefficients of x^phi and up in the product vector acc into
+    acc[:phi], in place, through the rows of x^k mod Phi_L."""
+    terms = t.power_terms
+    for k in range(t.phi, len(acc)):
+        ck = acc[k]
+        if ck:
+            for i, c in terms[k]:
+                acc[i] += ck * c
+
+
+@cache
+def _unit_chain(L: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (g_j, e_j) of a chain 1 = H_0 < H_1 < ... < H_r = (Z/L)^x with
+    H_j = <H_{j-1}, g_j> and e_j = [H_j : H_{j-1}] >= 2, so that the e_j
+    multiply to phi(L).  Each g_j is the smallest unit of largest order
+    modulo H_{j-1}, which keeps the chain short."""
+    units = [k for k in range(L) if math.gcd(k, L) == 1]
+    sub = {1 % L}
+    chain = []
+    while len(sub) < len(units):
+        best = (1, 1)
+        for g in units:
+            e, x = 1, g
+            while x not in sub:
+                e, x = e + 1, x * g % L
+            if e > best[1]:
+                best = (g, e)
+        g, e = best
+        sub = {h * pow(g, i, L) % L for h in sub for i in range(e)}
+        chain.append(best)
+    return tuple(chain)
+
+
+def _orbit_product(a: CycNum, g: int, n: int) -> CycNum:
+    """prod_{i=1}^{n} sigma_g^i(a) for n >= 1, by doubling: with
+    Q_k = prod_{i=1}^{k} sigma_g^i(a), Q_2k = Q_k * sigma_g^k(Q_k) and
+    Q_(k+1) = Q_k * sigma_g^(k+1)(a)."""
+    L = a.conductor
+    out, k = a.galois(g), 1
+    for bit in bin(n)[3:]:
+        out = out * out.galois(pow(g, k, L))
+        k *= 2
+        if bit == "1":
+            k += 1
+            out = out * a.galois(pow(g, k, L))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +583,28 @@ class _ModImage:
         return tuple(map(tuple, rows[:rank]))
 
     def rank(self, rows) -> int:
-        """Rank over F_p of integer rows, taken mod p."""
-        return len(self.rref(rows))
+        """Rank over F_p of integer rows, taken mod p, by forward elimination
+        alone: each pivot row clears its pivot column from the other rows by
+        row <- piv*row - f*prow (mod p), which keeps their span as piv != 0,
+        so no pivot is inverted and nothing is substituted back."""
+        p = self.p
+        rows = [r for r in ([a % p for a in r] for r in rows) if any(r)]
+        rank = 0
+        while rows:
+            prow = rows.pop()
+            col = next(i for i, a in enumerate(prow) if a)
+            piv = prow[col]
+            rank += 1
+            left = []
+            for row in rows:
+                f = row[col]
+                if f:
+                    row = [(piv * a - f * b) % p for a, b in zip(row, prow)]
+                    if not any(row):
+                        continue
+                left.append(row)
+            rows = left
+        return rank
 
 
 @cache

@@ -32,7 +32,9 @@ from rotref.cyclo import (
     int_from_json,
     _content,
     _mod_image,
+    _reduce,
     _tables,
+    _terms,
 )
 
 __all__ = [
@@ -148,29 +150,25 @@ class MatrixF:
             raise ValueError("dimension mismatch in matrix product")
         t = _tables(self.conductor)
         phi = t.phi
-        rows_red = t.power_rows
         n, m, p = self.rows, self.cols, other.cols
-        a, b = self.nums, other.nums
+        a = [_terms(v) for v in self.nums]
+        b = [_terms(v) for v in other.nums]
+        columns = [b[j::p] for j in range(p)]
+        zero = (0,) * phi
         out = []
-        width = 2 * phi - 1
         for i in range(n):
             arow = a[i * m : (i + 1) * m]
-            for j in range(p):
-                acc = [0] * width
-                for k in range(m):
-                    av = arow[k]
-                    bv = b[k * p + j]
-                    for s, avs in enumerate(av):
-                        if avs:
-                            for tt, bvt in enumerate(bv):
-                                if bvt:
-                                    acc[s + tt] += avs * bvt
-                for kk in range(width - 1, phi - 1, -1):
-                    ck = acc[kk]
-                    if ck:
-                        rr = rows_red[kk]
-                        for s in range(phi):
-                            acc[s] += ck * rr[s]
+            for col in columns:
+                pairs = [(at, bt) for at, bt in zip(arow, col) if at and bt]
+                if not pairs:
+                    out.append(zero)
+                    continue
+                acc = [0] * (2 * phi - 1)
+                for at, bt in pairs:
+                    for s, x in at:
+                        for u, y in bt:
+                            acc[s + u] += x * y
+                _reduce(acc, t)
                 out.append(tuple(acc[:phi]))
         return MatrixF._normalized(n, p, self.conductor, self.den * other.den, out)
 

@@ -33,6 +33,7 @@ from rotref.cyclo import (
     _mod_image,
     _pi,
     _poly_mul_int,
+    _unit_chain,
 )
 from rotref.groups import DEFAULT_CLOSURE_CAP
 
@@ -357,6 +358,126 @@ def test_real_sign_of_lucas_minus_fibonacci_root5(n):
     assert real_sign(value) == (-1) ** n
 
 
+# -- kernels against slot-by-slot references ---------------------------------
+#
+# The references visit every coefficient slot and reduce by long division by
+# Phi_L, so they share no table or term list with the kernels.
+
+KERNEL_CONDUCTORS = [1, 2, 3, 12, 56, 140, 1000]
+
+
+def _reduce_mod_phi(acc, L):
+    """Integer coefficients of acc (low degree first) reduced mod Phi_L."""
+    poly = cyclotomic_polynomial(L)
+    phi = len(poly) - 1
+    acc = list(acc) + [0] * max(0, phi - len(acc))
+    for k in range(len(acc) - 1, phi - 1, -1):
+        c = acc[k]
+        for i in range(phi + 1):
+            acc[k - phi + i] -= c * poly[i]
+    return acc[:phi]
+
+
+def _slot_mul(a, b):
+    L, phi = a.conductor, euler_phi(a.conductor)
+    acc = [0] * (2 * phi - 1)
+    for i in range(phi):
+        for j in range(phi):
+            acc[i + j] += a.num[i] * b.num[j]
+    return CycNum.make(L, _reduce_mod_phi(acc, L), a.den * b.den)
+
+
+def _slot_power_map(a, L2, exponent):
+    """sum(num[i] * zeta_L2^exponent(i)) / den, reduced mod Phi_L2."""
+    acc = [0] * L2
+    for i, v in enumerate(a.num):
+        acc[exponent(i) % L2] += v
+    return CycNum.make(L2, _reduce_mod_phi(acc, L2), a.den)
+
+
+def _slot_inv(a):
+    """The conjugate-by-conjugate product prod_{k != 1} sigma_k(a) / N(a)."""
+    L = a.conductor
+    rest = CycNum.one(L)
+    for k in range(2, L):
+        if math.gcd(k, L) == 1:
+            rest = _slot_mul(rest, _slot_power_map(a, L, lambda i: i * k))
+    norm = _slot_mul(a, rest)
+    assert norm.is_rational() and not norm.is_zero()
+    return CycNum.make(L, [v * norm.den for v in rest.num], rest.den * norm.num[0])
+
+
+def _kernel_operand(rng, L, dense):
+    """A random element with every coefficient drawn (dense) or with one to
+    three nonzero coefficients (sparse)."""
+    phi = euler_phi(L)
+    nums = [0] * phi
+    if dense:
+        nums = [rng.randint(-9, 9) for _ in range(phi)]
+    else:
+        for i in rng.sample(range(phi), min(phi, rng.randint(1, 3))):
+            nums[i] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return CycNum.make(L, nums, rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("L", KERNEL_CONDUCTORS)
+def test_mul_galois_embed_match_slot_loops(L, dense):
+    rng = random.Random(L * 2 + dense)
+    units = [k for k in range(L) if math.gcd(k, L) == 1]
+    for _ in range(2 if L == 1000 else 8):
+        a, b = _kernel_operand(rng, L, dense), _kernel_operand(rng, L, dense)
+        assert a * b == _slot_mul(a, b)
+        assert a * CycNum.zero(L) == CycNum.zero(L)
+        k = rng.choice(units)
+        assert a.galois(k) == _slot_power_map(a, L, lambda i: i * k)
+        step = rng.choice([s for s in (1, 2, 3, 5) if L * s <= CONDUCTOR_CAP])
+        assert a.embed(L * step) == _slot_power_map(a, L * step, lambda i: i * step)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("L", KERNEL_CONDUCTORS)
+def test_inverse_matches_the_conjugate_product(L, dense, fresh_caches):
+    rng = random.Random(L * 2 + dense)
+    one = CycNum.one(L)
+    for _ in range(2 if L == 1000 else 4):
+        a = _kernel_operand(rng, L, dense)
+        if a.is_zero():
+            continue
+        inv = a.inv()
+        assert a * inv == one
+        if L < 1000:  # the reference takes phi(L) - 1 products
+            assert inv == _slot_inv(a)
+
+
+def test_unit_chain_is_a_subgroup_chain_of_the_units():
+    for L in [*range(1, 201), 1000]:
+        units = {k for k in range(L) if math.gcd(k, L) == 1}
+        sub = {1 % L}
+        for g, e in _unit_chain(L):
+            # e = [H_j : H_(j-1)]: g^e is the first power of g back in H_(j-1)
+            powers = [pow(g, i, L) for i in range(e + 1)]
+            assert e >= 2 and powers[e] in sub
+            assert not sub.intersection(powers[1:e])
+            grown = {h * x % L for h in sub for x in powers[:e]}
+            assert len(grown) == len(sub) * e
+            sub = grown
+        assert sub == units
+        assert math.prod(e for _, e in _unit_chain(L)) == euler_phi(L) == len(units)
+
+
+def test_inverse_at_the_conductor_cap_takes_few_products(fresh_caches, monkeypatch):
+    # the conjugate-by-conjugate product takes phi(1000) = 400 of them
+    calls = []
+    mul = CycNum.__mul__
+    monkeypatch.setattr(CycNum, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    a = zeta_power(1000, 1) + zeta_power(1000, 7) + CycNum.rational(1000, 2)
+    inv = a.inv()
+    assert len(calls) <= 20
+    monkeypatch.undo()
+    assert a * inv == CycNum.one(1000)
+
+
 # -- canonical form & random algebra ---------------------------------------
 
 def _random_cyc(rng, L):
@@ -497,6 +618,13 @@ def test_mod_rref_matches_textbook_elimination(case):
     key = img.rref(rows)
     assert key == _textbook_rref(rows, img.p)
     assert img.rref(key) == key
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_case())
+def test_mod_rank_counts_the_rref_pivots(case):
+    img, rows = case
+    assert img.rank(rows) == len(img.rref(rows))
 
 
 def test_no_mod_image_is_built_at_import():

@@ -27,6 +27,7 @@ from rotref.linalg import (
     subspace_to_json,
 )
 from rotref.linalg import _rank
+from test_cyclo import KERNEL_CONDUCTORS, _kernel_operand, _slot_mul
 
 
 def rat(L, v):
@@ -101,6 +102,37 @@ def test_canonical_hashing():
     b = mat(4, [[Fraction(2, 4), 0], [0, Fraction(1, 2)]])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def _slot_matmul(a: MatrixF, b: MatrixF) -> MatrixF:
+    """Entry by entry, with every product taken slot by slot."""
+    entries = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = CycNum.zero(a.conductor)
+            for k in range(a.cols):
+                acc = acc + _slot_mul(a.entry(i, k), b.entry(k, j))
+            entries.append(acc)
+    return MatrixF.from_entries(a.rows, b.cols, entries)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("L", KERNEL_CONDUCTORS)
+def test_matmul_matches_slot_loops(L, dense):
+    # sparse matrices have zero entries and entries of one to three terms
+    rng = random.Random(L * 2 + dense)
+    zero = CycNum.zero(L)
+
+    def entry():
+        return _kernel_operand(rng, L, dense) if dense or rng.random() < 0.4 else zero
+
+    n, m, p = (2, 2, 2) if L == 1000 else (3, 4, 2)
+    for _ in range(2):
+        a = MatrixF.from_entries(n, m, [entry() for _ in range(n * m)])
+        b = MatrixF.from_entries(m, p, [entry() for _ in range(m * p)])
+        assert a @ b == _slot_matmul(a, b)
+    z = MatrixF.from_entries(m, p, [zero] * (m * p))
+    assert a @ z == _slot_matmul(a, z)
 
 
 # -- kernels ------------------------------------------------------------------

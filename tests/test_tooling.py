@@ -172,6 +172,32 @@ def test_no_module_starts_threads_or_processes():
     assert found == []
 
 
+# "no floating point in any decision path": the package reads no float, and
+# its real signs come from integer enclosures (cyclo.real_sign)
+_FLOAT_MATH = {"sqrt", "cos", "sin", "exp", "log", "pi", "e"}
+
+
+def test_no_module_uses_floating_point():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.stem}:{node.lineno}: float literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{path.stem}:{node.lineno}: float(...)")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr in _FLOAT_MATH):
+                found.append(f"{path.stem}:{node.lineno}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [
+                    f"{path.stem}:{node.lineno}: from math import {alias.name}"
+                    for alias in node.names
+                    if alias.name in _FLOAT_MATH
+                ]
+    assert found == []
+
+
 def test_every_all_lists_the_public_definitions():
     # `from rotref.<module> import *` reads __all__: it must list every public
     # module-level function and class of its module, and only names the

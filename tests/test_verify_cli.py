@@ -404,6 +404,40 @@ def test_cli_malformed_group_file_exits_2(tmp_path, capsys, corrupt):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# -- canonical JSON writer ------------------------------------------------------
+
+_json_text = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u20ac\U0001f600a', max_size=6),
+)
+_json_payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _json_text),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_json_text, max_size=4),
+        st.lists(st.integers(), max_size=4),
+        st.dictionaries(_json_text, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_payloads)
+def test_canonical_json_matches_json_dumps(payload):
+    assert cli._canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload", [1.5, {"a": [1, 2.0]}, {1.5: 1}, {True: 1}, {None: 1}, {"a": {1, 2}}, b"x"]
+)
+def test_canonical_json_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._canonical_json(payload)
+
+
 # -- wire-format fuzz: hypothesis corruptions of the B2 group file ----------
 #
 # B2's file has conductor 4, ambient 2 and two 2x2 generators whose entries
@@ -657,6 +691,16 @@ def test_cli_catalog_label_above_the_conductor_cap_exits_2(args):
     # all but catalog-17 would build tables for a conductor far above the
     # cap and run past the timeout; the cap is checked before any is built
     proc = _run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_dichotomy_at_the_conductor_cap_exits_2_at_once():
+    # I2(1000)xI2(1000) has more flats than the lattice cap, which the
+    # reflection lattice reaches after the generators' kernels at conductor
+    # 1000; the timeout holds those field kernels to their nonzero terms
+    proc = _run_cli(["dichotomy", "--p", "1000", "--q", "1000"], timeout=20)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
