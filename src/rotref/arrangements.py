@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -326,7 +327,10 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     in the same order: it starts from the mirrors ker(s-bar - I), makes
     s-bar.u and u meet H_s-bar from a flat u, skips a pair when u lies in
     H_s-bar (exactly when the exact flat lies in H_s), and keys each flat
-    by its canonical F_p RREF.  Its members, their order of discovery, the
+    by its canonical F_p RREF.  Only the mirrors' keys come from an
+    elimination; every other key is built in RREF by construction, from
+    its parent's key by the cut/turn lemma (_flat_moves; README, "Flats
+    mod p").  Its members, their order of discovery, the
     cap behaviour and the involution marks below are those of the exact
     search.  By (b), the dimension of each flat is the length of its key;
     the search's keys are the arrangement's keys, so `size`,
@@ -428,7 +432,24 @@ def _flat_moves(refl, img) -> tuple:
     the flats in order of discovery: the move that found each, (None, i,
     False) for the mirror of refl[i], else (j, i, turn) for refl[i].u (turn)
     or u meet H_i (not turn), with u the j-th flat; and the key of each,
-    whose length is the flat's dimension by (b)."""
+    whose length is the flat's dimension by (b).
+
+    Only the mirrors' keys are eliminated (_mirror_mod_p).  Every other key
+    is built in RREF by construction, from its parent's key, by the
+    cut/turn lemma (README, "Flats mod p").  Let u have RREF rows r_0, ...,
+    r_{d-1} with pivots c_0 < ... < c_{d-1}, let t_m = f . r_m, and let k
+    be the last m with t_m != 0.  The cut rows r_m - (t_m/t_k) r_k, m != k, are the RREF
+    of u meet H_s: each lies in u and is killed by f, they are d - 1
+    independent rows, and r_k has zeros at the other pivots and its leading
+    1 at c_k > c_m for every m with t_m != 0, so each keeps its leading 1
+    at c_m and zeros at the other kept pivots (rows after k are unchanged).
+    As s.x = x - (f . x) v, s.r_m - (t_m/t_k) s.r_k is that same cut row,
+    so s.u is the cut plus the row w = s.r_k = r_k - t_k v, which lies
+    outside the cut as s.u has dimension d.  Reduced at the cut's pivots
+    and scaled to a leading 1 at column c, w clears column c from the cut
+    rows (which changes no column left of c, nor any pivot column) and is
+    inserted by its pivot.  The RREF is unique, so these are the keys that
+    eliminating the stacked rows would give."""
     p = img.p
     mirrors = [_mirror_mod_p(img, s) for s in refl]
     position = {}
@@ -455,23 +476,42 @@ def _flat_moves(refl, img) -> tuple:
     qi = 0
     while qi < len(flats):
         u = flats[qi]
+        pivots = [row.index(1) for row in u]  # each row's first nonzero is 1
         for i, (_, f, v, involution) in enumerate(mirrors):
             if done[qi] >> i & 1:
                 continue
             ts = [sum(map(mul, f, row)) % p for row in u]
-            if not any(ts):
+            for k in range(len(u) - 1, -1, -1):
+                if ts[k]:
+                    break
+            else:
                 continue  # u lies in H_s, so s.u = u = u meet H_s
-            turned = [[a - t * b for a, b in zip(row, v)] for row, t in zip(u, ts)]
-            j = visit(img.rref(turned), (qi, i, True))
+            rk, tk = u[k], ts[k]
+            cut = list(u)  # the cut u meet H_s: rows after k stay as they are
+            del cut[k]
+            if any(ts[:k]):
+                inv = pow(tk, -1, p)
+                for m, t in enumerate(ts[:k]):
+                    if t:
+                        c = t * inv % p
+                        cut[m] = tuple([(a - c * b) % p for a, b in zip(cut[m], rk)])
+            kept = pivots[:k] + pivots[k + 1:]
+            w = [(a - tk * b) % p for a, b in zip(rk, v)]  # the turn s.u: cut + <s.r_k>
+            for row, c in zip(cut, kept):
+                if x := w[c]:
+                    w = [(a - x * b) % p for a, b in zip(w, row)]
+            col = next(c for c, a in enumerate(w) if a)
+            x = pow(w[col], -1, p)
+            w = tuple([a * x % p for a in w])
+            turned = [
+                tuple([(a - y * b) % p for a, b in zip(row, w)]) if (y := row[col]) else row
+                for row in cut
+            ]
+            turned.insert(bisect(kept, col), w)
+            j = visit(tuple(turned), (qi, i, True))
             if involution:
                 done[j] |= 1 << i
-            k = next(k for k, t in enumerate(ts) if t)
-            cut = [
-                [ts[k] * a - t * b for a, b in zip(row, u[k])]
-                for m, (row, t) in enumerate(zip(u, ts))
-                if m != k
-            ]
-            visit(img.rref(cut), (qi, i, False))
+            visit(tuple(cut), (qi, i, False))
         qi += 1
     return moves, flats
 

@@ -848,8 +848,9 @@ def group_to_json(g: MatrixGroup) -> dict:
 
 
 def group_from_json(d: dict) -> MatrixGroup:
-    """Parse a group file; a missing key, a value of the wrong JSON type or an
-    ambient or conductor above its cap (checked first) raises ValueError."""
+    """Parse a group file; a missing key, a value of the wrong JSON type, an
+    ambient or conductor above its cap (checked first) or a generator that
+    is not invertible raises ValueError."""
     try:
         L = int_from_json(d["conductor"])
         n = int_from_json(d["ambient"])
@@ -868,4 +869,18 @@ def group_from_json(d: dict) -> MatrixGroup:
         raise ValueError(
             f"JSON group declares ambient {n}, but a generator is not {n}x{n}"
         )
+    for i, g in enumerate(gens):
+        if not _invertible(g):
+            raise ValueError(f"generator {i} is not invertible")
     return MatrixGroup(gens, ambient_dim=n, conductor=L, name=name)
+
+
+def _invertible(g: MatrixF) -> bool:
+    """Whether the square matrix g is invertible.  Full rank mod p of the
+    integral matrix den * g certifies it, as its determinant then reduces
+    to a nonzero value (cyclo._ModImage); otherwise the exact kernel
+    decides, as a singular image proves nothing."""
+    n = g.rows
+    img = _mod_image(g.conductor)
+    rows = [[img.integral(g.nums[i * n + j]) for j in range(n)] for i in range(n)]
+    return img.rank(rows) == n or kernel(g).dim == 0

@@ -1,15 +1,18 @@
 import hashlib
+import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotref import arrangements, groups, linalg, verify
+from rotref import arrangements, cyclo, groups, linalg, verify
 from rotref.cyclo import ConductorMismatch, CycNum, _mod_image, real_imag_parts, zeta_power
 from rotref.cli import main
 from rotref.linalg import (
@@ -476,6 +479,63 @@ def test_reflection_vector_gives_the_reflection(label):
         assert involution == (s @ s).is_identity()
 
 
+REPLAY_LABELS = BIG_FACTOR_LABELS + tuple(
+    f"I2({p})xI2({q})" for p in range(2, 9) for q in range(p, 9)
+) + ("I2(12)x1x1", "A1xA1xA1xA1")
+
+
+@pytest.mark.parametrize("label", REPLAY_LABELS)
+def test_flat_keys_are_the_rref_of_each_recorded_move(label):
+    # _flat_moves writes every key past the mirrors in RREF from its
+    # parent's key (the cut/turn lemma); rebuild each recorded move by
+    # stacking the turned or the cut rows of the parent's key and
+    # eliminating them, and the result must be the key the move found
+    g = catalog_group(label)
+    refl = groups.generating_reflections(g)
+    img = _mod_image(g.conductor)
+    p = img.p
+    moves, keys = arrangements._flat_moves(refl, img)
+    mirrors = [_mirror_mod_p(img, s) for s in refl]
+    assert len(moves) == len(keys) == len(set(keys))
+    for key, (j, i, turn) in zip(keys, moves):
+        assert img.rref(key) == key
+        if j is None:
+            assert key == mirrors[i][0]
+            continue
+        _, f, v, _ = mirrors[i]
+        u = keys[j]
+        ts = [sum(map(mul, f, row)) % p for row in u]
+        if turn:
+            rows = [[a - t * b for a, b in zip(row, v)] for row, t in zip(u, ts)]
+        else:
+            k = next(k for k, t in enumerate(ts) if t)
+            rows = [
+                [ts[k] * a - t * b for a, b in zip(row, u[k])]
+                for m, (row, t) in enumerate(zip(u, ts))
+                if m != k
+            ]
+        assert img.rref(rows) == key
+
+
+def test_flat_search_eliminates_only_the_mirrors(monkeypatch):
+    # two F_p eliminations per mirror (its normal and its kernel), none per
+    # move: on H4 that is 8 rref calls for 2103 flats
+    g = catalog_group("H4")
+    refl = groups.generating_reflections(g)
+    img = _mod_image(g.conductor)
+    callers = []
+    rref = cyclo._ModImage.rref
+
+    def counted(self, rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return rref(self, rows)
+
+    monkeypatch.setattr(cyclo._ModImage, "rref", counted)
+    _, keys = arrangements._flat_moves(refl, img)
+    assert len(keys) == 2103
+    assert callers == ["_mirror_mod_p"] * 8
+
+
 def test_reflection_arrangement_computes_no_closure():
     fresh = MatrixGroup(catalog_group("H3").generators, name="H3")
     arr = reflection_arrangement(fresh)
@@ -666,6 +726,92 @@ def test_b4_contains_wreath_m2_and_m4():
     ag3 = isotropy_arrangement(realified_gmpn_group(3))
     ok, witness = arrangement_contains(ab4, ag3)
     assert not ok and witness.dim == 2
+
+
+_HALF = Fraction(1, 2)
+
+# Two sets of F4 planes that form a wreath arrangement A_{G(m,1,2)} in a
+# linear position that is not orthogonal, rows being basis vectors in the
+# catalog's coordinates: P0, P_inf, then the m graph planes
+F4_WREATH_SETS = {
+    3: (
+        ((0, 1, -1, 0), (0, 0, 0, 1)),
+        ((1, 0, -1, 0), (0, 1, 2, -1)),
+        ((1, -1, 0, -1), (0, 0, 1, 0)),
+        ((1, 0, -1, 1), (0, 1, 0, 0)),
+        ((1, 1, 0, -2), (0, 0, 1, -1)),
+    ),
+    6: (
+        ((0, 1, 0, -1), (0, 0, 1, -1)),
+        ((1, 0, -1, 0), (0, 1, 1, 0)),
+        ((1, 0, -1, -2), (0, 1, 0, 1)),
+        ((1, 0, 0, -1), (0, 1, 0, 0)),
+        ((1, 0, _HALF, -_HALF), (0, 1, _HALF, -_HALF)),
+        ((1, 0, 1, 0), (0, 1, 2, -1)),
+        ((1, 0, 0, 1), (0, 0, 1, 0)),
+        ((1, 1, 0, 2), (0, 0, 1, 1)),
+    ),
+}
+
+
+def _coordinates(basis, v):
+    """The coordinates of v in a basis of Q^4, by exact elimination."""
+    a = [[Fraction(b[i]) for b in basis] + [Fraction(v[i])] for i in range(4)]
+    for c in range(4):
+        r = next(r for r in range(c, 4) if a[r][c])
+        a[c], a[r] = a[r], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(4):
+            if r != c:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[4] for row in a]
+
+
+def _mul2(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def _inv2(a):
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+
+
+def _graph_map(p0, p_inf, plane):
+    """The 2 x 2 matrix, in the listed bases, of the map A: P0 -> P_inf whose
+    graph {x + A x : x in P0} is `plane`: each basis row q of the plane
+    splits as x + y with x in P0 and y in P_inf, and A x = y."""
+    coords = [_coordinates(p0 + p_inf, q) for q in plane]
+    x = [[c[i] for c in coords] for i in (0, 1)]
+    y = [[c[i] for c in coords] for i in (2, 3)]
+    return _mul2(y, _inv2(x))
+
+
+@pytest.mark.parametrize("m", sorted(F4_WREATH_SETS))
+def test_f4_contains_a_wreath_arrangement_in_a_linear_position(m, fresh_caches):
+    # A_W contains h.A_{G(m,1,2)} exactly when it has transverse planes P0,
+    # P_inf and the graphs of A_1 R^j, j < m, with tr R = 2cos(2 pi/m) and
+    # det R = 1.  A similarity h would keep P_inf = P0^perp, so these
+    # positions are linear and not orthogonal
+    planes = F4_WREATH_SETS[m]
+    p0, p_inf, *graphs = planes
+    f4_planes = set(verify.catalog_arrangement("F4").members_of_dim(2))
+    exact = [
+        Subspace.from_rows(4, [[CycNum.rational(4, Fraction(x)) for x in row] for row in plane])
+        for plane in planes
+    ]
+    assert len(graphs) == m and all(u in f4_planes for u in exact)
+    assert all(intersection_dim(u, w) == 0 for u, w in itertools.combinations(exact, 2))
+    maps = [_graph_map(p0, p_inf, q) for q in graphs]
+    back = _inv2(maps[0])
+    r = _mul2(back, maps[1])
+    assert r[0][0] + r[1][1] == {3: -1, 6: 1}[m]  # 2cos(2 pi/m)
+    assert r[0][0] * r[1][1] - r[0][1] * r[1][0] == 1
+    assert any(sum(map(mul, a, b)) for a in p0 for b in p_inf)
+    power = [[1, 0], [0, 1]]
+    for a in maps:  # A_1^-1 A_j = R^j
+        assert _mul2(back, a) == power
+        power = _mul2(power, r)
+    assert power == [[1, 0], [0, 1]]
 
 
 # -- phase values --------------------------------------------------------------------

@@ -758,16 +758,16 @@ def test_lemma_plane_runs_at_the_conductor_cap():
         verify_lemma_plane(251, 1, 0)  # conductor lcm(4, 251) = 1004
 
 
-def _group_file(path, *generators):
-    """A JSON group over conductor 4 with 2 x 2 rational generators, each
+def _group_file(path, *generators, n=2):
+    """A JSON group over conductor 4 with n x n rational generators, each
     given by its entries in row order."""
     def entry(v):
         return {"conductor": 4, "coeffs": [str(v), "0"]}
 
     path.write_text(json.dumps({
-        "name": "hostile", "ambient": 2, "conductor": 4,
+        "name": "hostile", "ambient": n, "conductor": 4,
         "generators": [
-            {"rows": 2, "cols": 2, "entries": [entry(v) for v in entries]}
+            {"rows": n, "cols": n, "entries": [entry(v) for v in entries]}
             for entries in generators
         ],
     }))
@@ -809,6 +809,56 @@ def test_cli_hostile_group_exits_2(generators, command, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _diag(*values):
+    return tuple(v if i == j else 0 for i, v in enumerate(values) for j in range(4))
+
+
+_PROJECTION = _diag(1, 1, 0, 0)  # onto span(e0, e1)
+
+
+@pytest.mark.parametrize(
+    "generators, index",
+    [
+        ([_diag(0, 1, 1, 1)], 0),
+        ([_diag(0, 0, 0, 0)], 0),
+        ([tuple(int(k == 1) for k in range(16))], 0),  # nilpotent E01
+        ([_PROJECTION], 0),
+        ([_diag(-1, 1, 1, 1), _PROJECTION], 1),
+    ],
+    ids=["diag-0111", "zero", "nilpotent-E01", "projection", "reflection-and-projection"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["group", "show"],
+        ["arrangement", "compute", "--method", "isotropy"],
+        ["arrangement", "compute", "--method", "reflection"],
+    ],
+    ids=["group-show", "arrangement-isotropy", "arrangement-reflection"],
+)
+def test_cli_singular_generator_exits_2(generators, index, command, tmp_path, capsys):
+    # the mod-p closure would close these finite semigroups as if they
+    # were groups; the group file is refused before any closure
+    path = _group_file(tmp_path / "group.json", *generators, n=4)
+    assert main(command[:2] + [str(path)] + command[2:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: generator {index} is not invertible\n"
+
+
+def test_group_file_check_falls_back_to_the_exact_kernel(tmp_path, capsys):
+    # diag(p, 1) is singular mod p but invertible: the exact kernel lets it
+    # through, and its infinite order is refused by the closure instead
+    path = _group_file(tmp_path / "group.json", (_P4, 0, 0, 1))
+    assert groups.group_from_json(json.loads(path.read_text())).generators
+    assert main(["group", "show", str(path)]) == 2
+    assert "not invertible" not in capsys.readouterr().err
+    # an empty generator list is still the trivial group
+    empty = _group_file(tmp_path / "empty.json")
+    assert main(["group", "show", str(empty)]) == 0
+    assert "order: 1, generators: 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [["group", "show"], ["arrangement", "compute"]])
