@@ -335,14 +335,14 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     search.  By (b), the dimension of each flat is the length of its key;
     the search's keys are the arrangement's keys, so `size`,
     `dim_counts()` and structural_dichotomy_check come from the search
-    alone.  The exact bases are built the first time
-    `subspaces` is read (_exact_flats): in discovery order, each by applying
-    the one move that found it exactly to its parent's basis, with linalg's
-    public operations: fixed_space(s) for a mirror, s.apply over the basis
-    rows for s.u, subspace_intersect(u, H_s) for u meet H_s.  On H4 that is
-    2098 exact RREFs, one per member but the 4 mirrors and the origin, which
-    is cut from a line and certified 0 mod p.  An over-cap group raises
-    before anything is returned.
+    alone.  The exact bases are built the first time `subspaces` is read
+    (_exact_flats): in discovery order, each by applying the one move that
+    found it exactly to its parent's basis, with linalg's public
+    operations: fixed_space(s) for a mirror, the rows of B @ s^T for s.u,
+    with B the basis rows of u, and subspace_intersect(u, H_s) for u meet
+    H_s.  On H4 that is 2098 exact RREFs, one per member but the 4 mirrors
+    and the origin, which is cut from a line and certified 0 mod p.  An
+    over-cap group raises before anything is returned.
 
     The facts above hold for finite groups only.  Before the search, every
     s and every product s.t of two members of R must have a trace that is
@@ -395,16 +395,20 @@ def _exact_flats(n: int, refl, moves) -> list:
     """The exact flats of reflection_arrangement in discovery order, each
     built from its parent by the one move of `moves` that found it: the
     mirror of s is fixed_space(s), which is cached on s; the turn s.u is the
-    RREF of s.apply over u's basis rows; the cut u meet H_s is
-    subspace_intersect(u, H_s), one hyperplane cut, or no exact work when u
-    is a line, whose meet with H_s is 0 by its mod-p certificate."""
+    RREF of the rows of B @ s^T, one product, with B the basis rows of u
+    (never empty: no move leaves a flat inside H_s, so the zero flat has no
+    turn); the cut u meet H_s is subspace_intersect(u, H_s), one hyperplane
+    cut, or no exact work when u is a line, whose meet with H_s is 0 by its
+    mod-p certificate."""
     mirrors = [fixed_space(s) for s in refl]
+    transposes = [s.transpose() for s in refl]
     flats = []
     for j, i, turn in moves:
         if j is None:
             flats.append(mirrors[i])
         elif turn:
-            flats.append(Subspace.from_rows(n, [refl[i].apply(row) for row in flats[j].basis]))
+            moved = MatrixF.from_rows(flats[j].basis) @ transposes[i]
+            flats.append(Subspace.from_rows(n, map(moved.row, range(moved.rows))))
         else:
             flats.append(subspace_intersect(flats[j], mirrors[i]))
     return flats

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -44,6 +45,17 @@ from rotref.verify import (
 )
 
 USAGE_ERROR = 2
+
+# the claim subcommands and their verifiers, each called by its name in this
+# module, so that a wrapper installed over that name sees the call
+_CLAIMS = {
+    "lemma-ag": lambda args: verify_lemma_AG(args.m),
+    "rotation": lambda args: verify_rotation_group(args.m),
+    "lemma-plane": lambda args: verify_lemma_plane(args.m, args.samples, args.seed),
+    "dichotomy": lambda args: verify_dichotomy(args.p, args.q),
+    "threshold": lambda args: verify_threshold(),
+    "theorem": lambda args: verify_theorem(args.m),
+}
 
 
 def _dump_json(path: str, payload: dict):
@@ -108,23 +120,33 @@ def _write_json(obj, nl: str, out: list):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_reports(reports, json_path):
-    """Print reports and optionally write the canonical JSON file; returns
-    the process exit code."""
-    for rep in reports:
-        for line in rep.human_lines():
-            print(line)
+def _emit_report(rep, json_path) -> int:
+    """Print a claim's report, its summary lines first and the detail of a
+    failure last, and write its canonical JSON file if asked; returns the
+    process exit code."""
+    cert = rep.certificate
+    if rep.claim_id == "threshold":
+        for label, row in sorted(cert["per_group"].items()):
+            print(f"  {label:8s} planes={row['planes']:4d} total={row['total']:5d}")
+        print(f"  m0_planes={cert['m0_planes']}  m0_total={cert['m0_total']}")
+    if rep.claim_id == "theorem":
+        print(f"part (i)   direct non-containment: "
+              f"{'pass' if cert['part_i_direct']['pass'] else 'FAIL'} "
+              f"({cert['part_i_direct']['checked_groups']} groups)")
+        pii = cert["part_ii_counting"]
+        print(f"part (ii)  counting certificate:   "
+              f"{'applicable: ' + pii['inequality'] if pii['applicable'] else 'not applicable, m < m0_planes'}")
+        piii = cert["part_iii_structural"]
+        print(f"part (iii) structural certificate: "
+              f"{'pass' if piii['pass'] else 'FAIL'}")
+    for line in rep.human_lines():
+        print(line)
     if json_path:
-        payload = {
-            "reports": [
-                r.to_json_dict()
-                for r in sorted(
-                    reports, key=lambda r: (r.claim_id, sorted(r.parameters.items()))
-                )
-            ]
-        }
-        _dump_json(json_path, payload)
-    return 0 if all(r.passed for r in reports) else 1
+        _dump_json(json_path, {"reports": [rep.to_json_dict()]})
+    if rep.passed:
+        return 0
+    _print_failure_detail(rep)
+    return 1
 
 
 def _print_failure_detail(rep):
@@ -246,52 +268,9 @@ def _dispatch(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
 
-    if cmd == "lemma-ag":
-        rep = verify_lemma_AG(args.m)
-        code = _emit_reports([rep], args.json)
-        if not rep.passed:
-            _print_failure_detail(rep)
-        return code
-
-    if cmd == "rotation":
-        rep = verify_rotation_group(args.m)
-        return _emit_reports([rep], args.json)
-
-    if cmd == "lemma-plane":
-        rep = verify_lemma_plane(args.m, args.samples, args.seed)
-        code = _emit_reports([rep], args.json)
-        if not rep.passed:
-            _print_failure_detail(rep)
-        return code
-
-    if cmd == "dichotomy":
-        rep = verify_dichotomy(args.p, args.q)
-        return _emit_reports([rep], args.json)
-
-    if cmd == "threshold":
-        rep = verify_threshold()
-        cert = rep.certificate
-        for label, row in sorted(cert["per_group"].items()):
-            print(f"  {label:8s} planes={row['planes']:4d} total={row['total']:5d}")
-        print(f"  m0_planes={cert['m0_planes']}  m0_total={cert['m0_total']}")
-        return _emit_reports([rep], args.json)
-
-    if cmd == "theorem":
-        rep = verify_theorem(args.m)
-        cert = rep.certificate
-        print(f"part (i)   direct non-containment: "
-              f"{'pass' if cert['part_i_direct']['pass'] else 'FAIL'} "
-              f"({cert['part_i_direct']['checked_groups']} groups)")
-        pii = cert["part_ii_counting"]
-        print(f"part (ii)  counting certificate:   "
-              f"{'applicable: ' + pii['inequality'] if pii['applicable'] else 'not applicable, m < m0_planes'}")
-        piii = cert["part_iii_structural"]
-        print(f"part (iii) structural certificate: "
-              f"{'pass' if piii['pass'] else 'FAIL'}")
-        code = _emit_reports([rep], args.json)
-        if not rep.passed:
-            _print_failure_detail(rep)
-        return code
+    claim = _CLAIMS.get(cmd)
+    if claim is not None:
+        return _emit_report(claim(args), args.json)
 
     if cmd == "catalog":
         groups = enumerate_degree4_catalog(args.k_max)
@@ -319,9 +298,7 @@ def _dispatch(args) -> int:
 
     if cmd == "group":
         grp = _group_from_ref(args.ref)
-        hist: dict[str, int] = {}
-        for c in grp.element_classes():
-            hist[c.tag] = hist.get(c.tag, 0) + 1
+        hist = Counter(c.tag for c in grp.element_classes())
         print(f"name: {grp.name}")
         print(f"ambient dimension: {grp.ambient_dim}, conductor: {grp.conductor}")
         print(f"order: {grp.order}, generators: {len(grp.generators)}")

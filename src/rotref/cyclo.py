@@ -372,9 +372,6 @@ class CycNum:
     def __hash__(self) -> int:
         return hash((self.conductor, self.num, self.den))
 
-    def sort_key(self):
-        return (self.den, self.num)
-
     def __repr__(self) -> str:
         return f"CycNum({self.conductor}, {self.pretty()!r})"
 

@@ -309,21 +309,14 @@ def closure(generators, name=None) -> MatrixGroup:
 
 
 def element_order(g: MatrixF) -> int:
-    """The order k of g's image mod p (cyclo._ModImage), confirmed by g^k = I
-    exactly.  Reduction is injective on a finite <g> (module docstring), so
-    that is g's order, and a failed confirmation means infinite order.  It
-    raises ClosureCapExceeded then, or when k passes the closure cap, and
+    """The order k of g's image mod p (cyclo._ModImage), the size of its
+    cyclic closure (_residue_bfs), confirmed by g^k = I exactly.  Reduction
+    is injective on a finite <g> (module docstring), so that is g's order,
+    and a failed confirmation means infinite order.  It raises
+    ClosureCapExceeded then, or when k passes the closure cap, and
     ValueError when p divides g's denominator."""
-    n = g.rows
     img = _mod_image(g.conductor)
-    r = img.residues(g)
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    cols = _columns(r, n)
-    image, k = r, 1
-    while image != ident:
-        image, k = _times(image, cols, n, img.p), k + 1
-        if k > DEFAULT_CLOSURE_CAP:
-            raise ClosureCapExceeded("element order exceeds closure cap")
+    k = len(_residue_bfs([img.residues(g)], g.rows, img.p, DEFAULT_CLOSURE_CAP)[0])
     power = g  # g^k by binary powering, from the leading bit of k
     for bit in bin(k)[3:]:
         power = power @ power @ g if bit == "1" else power @ power

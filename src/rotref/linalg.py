@@ -194,23 +194,6 @@ class MatrixF:
         ]
         return MatrixF(self.cols, self.rows, self.conductor, self.den, tuple(nums))
 
-    def apply(self, vec) -> tuple[CycNum, ...]:
-        """Matrix-vector product; vec is a sequence of cols CycNums."""
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length must equal cols")
-        ents = self.entries
-        out = []
-        for i in range(self.rows):
-            acc = CycNum.zero(self.conductor)
-            for j, v in enumerate(vec):
-                if not v.is_zero():
-                    e = ents[i * self.cols + j]
-                    if not e.is_zero():
-                        acc = acc + e * v
-            out.append(acc)
-        return tuple(out)
-
     def embed(self, L2: int) -> "MatrixF":
         if L2 == self.conductor:
             return self

@@ -93,16 +93,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_json_dict(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "claim_id": self.claim_id,
             "parameters": self.parameters,
             "verdict": self.verdict,
             "certificate": self.certificate,
         }
-        if include_runtime:
-            out["runtime_ms"] = self.runtime_ms
-        return out
 
     def human_lines(self):
         yield f"[{self.verdict.upper()}] {self.claim_id} {self.parameters} ({self.runtime_ms} ms)"
@@ -195,13 +192,8 @@ def verify_rotation_group(m: int) -> VerificationReport:
     t0 = time.perf_counter()
     grp = realified_gmpn_group(m)
     ok_rot, cert_rot = is_rotation_group(grp)
-    codims = {}
-    no_reflections = True
-    for d in grp.fixed_dims()[1:]:
-        c = grp.ambient_dim - d
-        codims[c] = codims.get(c, 0) + 1
-        if c not in (2, 4):
-            no_reflections = False
+    codims = Counter(grp.ambient_dim - d for d in grp.fixed_dims()[1:])
+    no_reflections = set(codims) <= {2, 4}
     cert = {
         "order": grp.order,
         "nonidentity_scanned": grp.order - 1,
@@ -238,14 +230,14 @@ def verify_lemma_plane(m: int, samples: int, seed: int) -> VerificationReport:
     t0 = time.perf_counter()
     rng = random.Random(seed)
     zeta_planes = [zeta_plane(L, m, j) for j in range(m)]
-    histogram: dict[int, int] = {}
+    histogram = Counter()
     witnesses = []
     corrected_ok = True
     for _ in range(samples):
         p = sample_rational_plane(rng, L)
         met = [j for j, z in enumerate(zeta_planes) if meets_nontrivially(p, z)]
         count = len(met)
-        histogram[count] = histogram.get(count, 0) + 1
+        histogram[count] += 1
         if count >= 2:
             if count > 2 or (met[1] - met[0]) % m != m // 2:
                 corrected_ok = False

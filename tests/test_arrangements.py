@@ -293,9 +293,17 @@ def test_isotropy_in_a_non_orthogonal_position_with_denominators(label):
     # Fix(h g h^-1) = h.Fix(g), so the members of hGh^-1 are h applied to
     # those of G
     moved, h = _conjugated_by_h(label)
+    h_t = h.transpose()
+
+    def moved_rows(u):  # h applied to u's basis rows: the rows of B @ h^T
+        if not u.basis:
+            return []
+        b = MatrixF.from_rows(u.basis) @ h_t
+        return [b.row(i) for i in range(b.rows)]
+
     arr = isotropy_arrangement(moved)
     assert {u.key for u in arr.subspaces} == {
-        Subspace.from_rows(4, [h.apply(row) for row in u.basis], moved.conductor).key
+        Subspace.from_rows(4, moved_rows(u), moved.conductor).key
         for u in isotropy_arrangement(catalog_group(label)).subspaces
     }
     for s, prov in zip(arr.subspaces, arr.provenance):
@@ -570,6 +578,27 @@ def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
     assert calls == 2103 - 4 - 1
     arr.subspaces
     assert calls == 2103 - 4 - 1
+
+
+def test_exact_flats_make_one_product_per_turn(monkeypatch):
+    # the turn s.u is the rows of B @ s^T, with B the basis rows of u: one
+    # product per turn move, and none for a mirror or a cut.  H4 has 1751
+    # turn moves among its 2103 flats
+    g = catalog_group("H4")
+    refl = groups.generating_reflections(g)
+    moves, _ = arrangements._flat_moves(refl, _mod_image(g.conductor))
+    calls = 0
+    matmul = MatrixF.__matmul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(MatrixF, "__matmul__", counted)
+    flats = arrangements._exact_flats(4, refl, moves)
+    assert len(flats) == 2103
+    assert calls == sum(turn for _, _, turn in moves) == 1751
 
 
 def test_threshold_builds_no_exact_flat(monkeypatch, fresh_caches):

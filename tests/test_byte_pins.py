@@ -1,9 +1,10 @@
-"""Byte pins: SHA-256 digests of group files and canonical --json reports,
-recorded before groups were closed mod p.  The closure mod p and the lazy
-exact elements must leave every one of these bytes as it was."""
+"""Byte pins: SHA-256 digests of group files, canonical --json reports and
+CLI stdout, each recorded before a change that had to leave it as it was
+(first, the closure mod p and the lazy exact elements)."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -190,6 +191,24 @@ CLI_JSON_SHA256 = {
     "threshold": (0, "712918125f67574c187b965f1794a7bd3fc0a9c97837733598bd988bc3569ca7"),
     "dichotomy --p 5 --q 7": (0, "b0f6cd50b374858eaefa5ec9395c006e84a6930b2af9f79cc6f13c9598b5cf00"),
     "dichotomy --p 8 --q 8": (0, "57f8721bf009ac540122ffa8ca03ff37fe280b81fd9eaaede024ec26dcfb20d4"),
+    # recorded before the exact turns of the flat search went through
+    # MatrixF.__matmul__
+    "arrangement compute H4 --method reflection": (0, "9a59af4a7dd1480aed54f907501063d90db03480ccdb648da16a1c127a49999b"),
+    "arrangement compute F4 --method reflection": (0, "c58ceeaaf5e6e4afe023d2457925ec4421c8f53e42929260d366f2968b308f4c"),
+    "arrangement compute H3xA1 --method reflection": (0, "19529558116a71314f4a6ae5f93f8375afd6b26de29104641ac15d68049e3354"),
+    "arrangement compute I2(5)xI2(8) --method reflection": (0, "5787e57c92eaedfafc979ca675324014bd453624a0e9c5faba45c68633ebea1a"),
+}
+
+# `rotref ARGS`: (exit code, SHA-256 of stdout with each "(<n> ms)" written
+# "(N ms)"), recorded before the claim subcommands shared one code path
+CLI_STDOUT_SHA256 = {
+    "threshold": (0, "d7f926187821976fb156a44ed9b4802312b74367095bef8e57d4981011db1b5e"),
+    "theorem --m 4": (1, "f3e9c68816dd939ea5d6110f5a1ea9d16e5897a4732d6763dd05fe82b6c8bf62"),
+    "theorem --m 721": (0, "39aba43f9960004dfd4e5fa9fa62e88e2614c6c69d7e2d49ab5ad758bfb089c5"),
+    "lemma-plane --m 6 --samples 200 --seed 0": (1, "5df75c4e3e20af2f0db8e61c1b3b9bd4fe7f5e481682d75dbd00a0d3f2d8984d"),
+    "lemma-ag --m 1": (1, "4f0304c1efa661c5b9cdf045c91dcaa25899ac7460805288fa09b72ad84c95cd"),
+    "rotation --m 5": (0, "8cf5c4e433bfd721562eb75cc5cb2bf943f81a7e5513ffb9e1027cd4381e73f2"),
+    "dichotomy --p 3 --q 4": (0, "468120848dbe3d1a1ba4edfc5ae4a72a788e02bd8297ad96d5d5add9726b9ca3"),
 }
 
 
@@ -214,3 +233,10 @@ def test_cli_json_bytes(args, tmp_path, capsys):
     code = main(args.split() + ["--json", str(path)])
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert (code, digest) == CLI_JSON_SHA256[args]
+
+
+@pytest.mark.parametrize("args", sorted(CLI_STDOUT_SHA256))
+def test_cli_stdout_bytes(args, capsys):
+    code = main(args.split())
+    out = re.sub(r"\(\d+ ms\)", "(N ms)", capsys.readouterr().out)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_STDOUT_SHA256[args]

@@ -325,6 +325,30 @@ def test_h_type_product_orders():
     assert orders == [5, 3, 3, 2, 2, 2]
 
 
+def test_element_order_is_the_exact_order_on_wreath_groups():
+    for m in range(1, 7):
+        for g in realified_gmpn_group(m).elements:
+            power, k = g, 1
+            while not power.is_identity():
+                power, k = power @ g, k + 1
+            assert element_order(g) == k
+
+
+def test_element_order_of_an_infinite_element_hits_the_cap():
+    with pytest.raises(ClosureCapExceeded):
+        element_order(rat_mat(4, [[2, 0], [0, 1]]))
+
+
+def test_element_order_cap_edge(monkeypatch):
+    # an order equal to the cap passes; one above it raises
+    monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 5)
+    h4 = catalog_group("H4").generators
+    assert element_order(h4[0] @ h4[1]) == 5
+    a, b = catalog_group("I2(6)").generators
+    with pytest.raises(ClosureCapExceeded):
+        element_order(a @ b)
+
+
 def test_pad_trivial():
     g = pad_trivial(catalog_group("A1"), 2)
     assert g.ambient_dim == 3

@@ -93,8 +93,7 @@ def test_conductor_mismatch_rejected():
 def test_transpose_and_apply():
     m = mat(4, [[1, 2], [3, 4], [5, 6]])
     assert m.transpose() == mat(4, [[1, 3, 5], [2, 4, 6]])
-    out = m.apply([rat(4, 1), rat(4, -1)])
-    assert list(out) == [rat(4, -1)] * 3
+    assert m @ mat(4, [[1], [-1]]) == mat(4, [[-1]] * 3)
 
 
 def test_canonical_hashing():

@@ -215,8 +215,6 @@ def test_report_json_shape():
     rep = verify_lemma_AG(4)
     d = rep.to_json_dict()
     assert set(d) == {"claim_id", "parameters", "verdict", "certificate"}
-    d2 = rep.to_json_dict(include_runtime=True)
-    assert "runtime_ms" in d2
     json.dumps(d)  # serializable
 
 
