@@ -55,7 +55,6 @@ from rotref.groups import (
     DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     MatrixGroup,
-    element_order,
     fixed_space,
     generating_reflections,
 )
@@ -241,32 +240,6 @@ def isotropy_arrangement(group: MatrixGroup) -> Arrangement:
     return Arrangement(n, L, keys, build, provenance)
 
 
-def _trace(g: MatrixF) -> CycNum:
-    return sum((g.entry(i, i) for i in range(1, g.rows)), g.entry(0, 0))
-
-
-def _reject_infinite_pairs(refl):
-    """Raise ClosureCapExceeded when a reflection in `refl`, or the product
-    of two of them, cannot lie in a finite group.
-
-    An element of finite order has roots of unity as eigenvalues, so its
-    trace is an algebraic integer.  The powers 1, zeta_L, ..., of the
-    canonical form are an integral basis of Z[zeta_L], so a trace is an
-    algebraic integer exactly when its denominator is 1.  That test rejects
-    most infinite dihedral pairs at once; the order, taken mod p within the
-    closure cap and confirmed exactly (element_order), catches the rest (a
-    shear has trace 2)."""
-    elems = list(refl)
-    elems += [s @ t for i, s in enumerate(refl) for t in refl[i + 1:]]
-    if any(_trace(g).den != 1 for g in elems):
-        raise ClosureCapExceeded(
-            "group not finite: a reflection or a product of two has a "
-            "trace that is not an algebraic integer"
-        )
-    for g in elems:
-        element_order(g)
-
-
 def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     """The flats of a reflection group: its reflecting hyperplanes and all
     their intersections, the full space excluded.
@@ -344,18 +317,14 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     and the origin, which is cut from a line and certified 0 mod p.  An
     over-cap group raises before anything is returned.
 
-    The facts above hold for finite groups only.  Before the search, every
-    s and every product s.t of two members of R must have a trace that is
-    an algebraic integer and an order within the closure cap, as in any
-    finite group (see _reject_infinite_pairs); otherwise ClosureCapExceeded
-    is raised at once.  An infinite group that passes this check stops at
-    the cap when it has more than DEFAULT_CLOSURE_CAP flats mod p, as the
-    (2,3,7) triangle group does in its Tits representation.  One with fewer
-    (an affine Weyl group in its Tits representation has finitely many
-    flats) is not detected, and flats are returned for it: the route
-    assumes a finite group, as the closure-free search cannot count its
-    elements.  (b) for the finite group <s> alone still makes each flat
-    built reduce to its key, so the flats returned are distinct.
+    The facts above hold for finite groups only; the route takes w as
+    MatrixGroup checked it (groups._check_generators).  An infinite group
+    that passes that check stops at the cap when it has more than
+    DEFAULT_CLOSURE_CAP flats mod p, as the (2,3,7) triangle group does in
+    its Tits representation.  One with fewer (an affine Weyl group in its
+    Tits representation has finitely many flats) is not detected, and flats
+    are returned for it.  (b) for the finite group <s> alone still makes
+    each flat built reduce to its key, so the flats returned are distinct.
 
     Moves that only repeat earlier ones are skipped.  I - s-bar = v f^T
     for a normal f of H_s-bar (see _mirror_mod_p), so s-bar^2 = I -
@@ -376,7 +345,6 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     refl = generating_reflections(w)
     if refl is None:
         raise ValueError("group is not generated by its reflections")
-    _reject_infinite_pairs(refl)
     n, L = w.ambient_dim, w.conductor
     img = _mod_image(L)
     moves, keys = _flat_moves(refl, img)

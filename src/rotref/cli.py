@@ -1,7 +1,8 @@
 """Command-line interface: verification subcommands with JSON certificates.
 
-Exit status: 0 when every verdict passes, 1 when any verdict fails (the
-witness is printed), 2 for usage or configuration errors.
+Exit status: 0 when every verdict passes, 1 when any verdict fails (only
+lemma-plane and theorem print a witness; --json holds every certificate),
+2 for usage or configuration errors.
 
 The --json report file is canonical: keys sorted, runtime omitted, so reruns
 produce byte-identical output.  Every command runs on one thread; --jobs N is

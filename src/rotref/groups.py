@@ -19,7 +19,8 @@ the exact checks that back them (_Elements).
 
 The catalog is one table, _FACTORS: each family's degree, order, conductor
 and generator builder, with I2(k) derived from k.  parse_label is the one
-check on a label, and _Elements the one check on a group's size.
+check on a label, _check_generators on a group's generators, and _Elements
+on its size.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class MatrixGroup:
     deterministic BFS order, enumerated modulo p on first use (_Elements).
 
     `order` is the group order when theory gives it; the enumeration must
-    then reach exactly that many elements.  Without it the enumeration is
-    confirmed exactly (_Elements)."""
+    then reach exactly that many elements.  Without it the generators are
+    checked here (_check_generators), and the enumeration exactly."""
 
     def __init__(self, generators, ambient_dim=None, conductor=None, name=None,
                  order=None):
@@ -115,6 +116,8 @@ class MatrixGroup:
                     raise ConductorMismatch("generators must share one conductor")
         elif ambient_dim is None or conductor is None:
             raise ValueError("empty generator list needs ambient_dim and conductor")
+        if order is None:
+            _check_generators(generators)
         self.generators = generators
         self.ambient_dim = ambient_dim
         self.conductor = conductor
@@ -300,9 +303,50 @@ class _Elements(Sequence):
         return self._keys
 
 
+def _invertible(g: MatrixF) -> bool:
+    """Whether the square matrix g is invertible.  Full rank mod p of the
+    integral matrix den * g certifies it, as its determinant then reduces
+    to a nonzero value (cyclo._ModImage); otherwise the exact kernel
+    decides, as a singular image proves nothing."""
+    n = g.rows
+    img = _mod_image(g.conductor)
+    rows = [[img.integral(g.nums[i * n + j]) for j in range(n)] for i in range(n)]
+    return img.rank(rows) == n or kernel(g).dim == 0
+
+
+def _trace(g: MatrixF) -> CycNum:
+    return sum((g.entry(i, i) for i in range(1, g.rows)), g.entry(0, 0))
+
+
+def _check_generators(generators):
+    """Check the generators of a group of unknown order, in this order:
+    each is invertible (else ValueError "generator i is not invertible") and
+    p-integral (else ValueError, cyclo._ModImage.residues); each, and each
+    product of two, has an integral trace and an order within the closure
+    cap (element_order), as in any finite group, else ClosureCapExceeded.
+    A trace is an algebraic integer, a sum of roots of unity, exactly when
+    its denominator is 1, as the powers of zeta_L in the canonical form are
+    an integral basis of Z[zeta_L].  A shear has trace 2 and fails on its
+    order."""
+    for i, g in enumerate(generators):
+        if not _invertible(g):
+            raise ValueError(f"generator {i} is not invertible")
+    for g in generators:
+        _mod_image(g.conductor).residues(g)
+    elems = list(generators)
+    elems += [s @ t for i, s in enumerate(generators) for t in generators[i + 1:]]
+    if any(_trace(g).den != 1 for g in elems):
+        raise ClosureCapExceeded(
+            "group not finite: a generator or a product of two has a "
+            "trace that is not an algebraic integer"
+        )
+    for g in elems:
+        element_order(g)
+
+
 def closure(generators, name=None) -> MatrixGroup:
-    """Breadth-first closure of a generator list into a full MatrixGroup,
-    confirmed exactly (its order is not known in advance)."""
+    """Breadth-first closure of a generator list into a full MatrixGroup of
+    unknown order, checked and confirmed exactly (MatrixGroup)."""
     grp = MatrixGroup(generators, name=name)
     grp.ensure_elements()
     return grp
@@ -841,9 +885,9 @@ def group_to_json(g: MatrixGroup) -> dict:
 
 
 def group_from_json(d: dict) -> MatrixGroup:
-    """Parse a group file; a missing key, a value of the wrong JSON type, an
-    ambient or conductor above its cap (checked first) or a generator that
-    is not invertible raises ValueError."""
+    """Parse a group file; a missing key, a value of the wrong JSON type or
+    an ambient or conductor above its cap (checked first) raises
+    ValueError.  MatrixGroup then checks the generators (_check_generators)."""
     try:
         L = int_from_json(d["conductor"])
         n = int_from_json(d["ambient"])
@@ -862,18 +906,4 @@ def group_from_json(d: dict) -> MatrixGroup:
         raise ValueError(
             f"JSON group declares ambient {n}, but a generator is not {n}x{n}"
         )
-    for i, g in enumerate(gens):
-        if not _invertible(g):
-            raise ValueError(f"generator {i} is not invertible")
     return MatrixGroup(gens, ambient_dim=n, conductor=L, name=name)
-
-
-def _invertible(g: MatrixF) -> bool:
-    """Whether the square matrix g is invertible.  Full rank mod p of the
-    integral matrix den * g certifies it, as its determinant then reduces
-    to a nonzero value (cyclo._ModImage); otherwise the exact kernel
-    decides, as a singular image proves nothing."""
-    n = g.rows
-    img = _mod_image(g.conductor)
-    rows = [[img.integral(g.nums[i * n + j]) for j in range(n)] for i in range(n)]
-    return img.rank(rows) == n or kernel(g).dim == 0

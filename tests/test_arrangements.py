@@ -19,6 +19,7 @@ from rotref.linalg import (
     MatrixF,
     Subspace,
     intersection_dim,
+    matrix_to_json,
     meets_nontrivially,
     subspace_contains,
     subspace_intersect,
@@ -31,6 +32,7 @@ from rotref.groups import (
     classify,
     closure,
     direct_sum,
+    element_order,
     enumerate_degree4_catalog,
     fixed_space,
     gmpn_generators,
@@ -551,6 +553,22 @@ def test_reflection_arrangement_computes_no_closure():
     assert arr.dim_counts() == {0: 1, 1: 31, 2: 15}
 
 
+def test_reflection_arrangement_confirms_no_element_order(monkeypatch):
+    # a catalog group is finite by theory and its generators are never
+    # checked, so the reflection route confirms no order on its own
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return element_order(g)
+
+    monkeypatch.setattr(groups, "element_order", counted)
+    monkeypatch.setattr(arrangements, "element_order", counted, raising=False)
+    for label in BIG_FACTOR_LABELS:
+        reflection_arrangement(catalog_group(label))
+        assert calls == [], label
+
+
 def test_reflection_arrangement_builds_one_exact_flat_per_member(monkeypatch):
     # the search runs mod p and counts the members from their keys; the
     # first read of `subspaces` builds each member but the four starting
@@ -672,12 +690,15 @@ def _q(a, b=1):
     return CycNum.rational(4, Fraction(a, b))
 
 
+# each maker returns the generators of an infinite group: MatrixGroup
+# refuses the first two when they are made
+
 def _infinite_dihedral_group():
     # reflections in the roots (1, 0) and (1, 2): their mirrors meet at the
     # angle arccos(1/sqrt 5), which is no rational multiple of pi
     s1 = MatrixF.from_rows([[_q(-1), _q(0)], [_q(0), _q(1)]])
     s2 = MatrixF.from_rows([[_q(3, 5), _q(-4, 5)], [_q(-4, 5), _q(-3, 5)]])
-    return MatrixGroup([s1, s2], name="infinite dihedral")
+    return [s1, s2]
 
 
 def _shear_group():
@@ -685,14 +706,15 @@ def _shear_group():
     # shear: the group is infinite, yet it has a single flat
     s1 = MatrixF.from_rows([[_q(-1), _q(0)], [_q(0), _q(1)]])
     s2 = MatrixF.from_rows([[_q(-1), _q(0)], [_q(1), _q(1)]])
-    return MatrixGroup([s1, s2], name="shear")
+    return [s1, s2]
 
 
 def _triangle_group_237():
     # the hyperbolic (2,3,7) triangle group in its Tits representation,
     # s_i e_j = e_j + 2cos(pi/m_ij) e_i with 2cos(pi/m) = zeta_2m + zeta_2m^-1:
     # each product of two generators has order 2, 3 or 7 and every trace is
-    # integral, so the pre-check passes, yet 1/2 + 1/3 + 1/7 < 1
+    # integral, so MatrixGroup's generator check passes, yet
+    # 1/2 + 1/3 + 1/7 < 1
     L = 28
     one, zero = CycNum.one(L), CycNum.zero(L)
     c3 = one  # 2cos(pi/3)
@@ -700,7 +722,7 @@ def _triangle_group_237():
     s1 = MatrixF.from_rows([[-one, zero, c3], [zero, one, zero], [zero, zero, one]])
     s2 = MatrixF.from_rows([[one, zero, zero], [zero, -one, c7], [zero, zero, one]])
     s3 = MatrixF.from_rows([[one, zero, zero], [zero, one, zero], [c3, c7, -one]])
-    return MatrixGroup([s1, s2, s3], name="(2,3,7) triangle")
+    return [s1, s2, s3]
 
 
 INFINITE_GROUPS = [_infinite_dihedral_group, _shear_group, _triangle_group_237]
@@ -709,15 +731,20 @@ INFINITE_GROUPS = [_infinite_dihedral_group, _shear_group, _triangle_group_237]
 @pytest.mark.parametrize("make", INFINITE_GROUPS)
 def test_reflection_arrangement_of_infinite_group_hits_cap(make):
     with pytest.raises(ClosureCapExceeded):
-        reflection_arrangement(make())
+        reflection_arrangement(MatrixGroup(make()))
 
 
 @pytest.mark.parametrize("make", INFINITE_GROUPS)
 def test_cli_reflection_arrangement_of_infinite_group_exits_2(
     make, tmp_path, capsys
 ):
+    gens = make()
     path = tmp_path / "group.json"
-    path.write_text(json.dumps(group_to_json(make())))
+    path.write_text(json.dumps({
+        "ambient": gens[0].rows,
+        "conductor": gens[0].conductor,
+        "generators": [matrix_to_json(g) for g in gens],
+    }))
     assert main(["arrangement", "compute", str(path), "--method", "reflection"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -594,3 +594,50 @@ def test_closure_rejects_denominator_divisible_by_p():
 def test_closure_of_infinite_diagonal_hits_cap():
     with pytest.raises(ClosureCapExceeded):
         closure([rat_mat(4, [[2, 0], [0, 1]])])
+
+
+def _diag4(*values):
+    return rat_mat(4, [[values[i] if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+_PROJECTION = _diag4(1, 1, 0, 0)  # onto span(e0, e1)
+
+# the singular generators of the group-input table in ROADMAP item 5, each
+# with the index of the first one that is not invertible
+SINGULAR_GENERATORS = {
+    "diag-0111": ([_diag4(0, 1, 1, 1)], 0),
+    "zero": ([_diag4(0, 0, 0, 0)], 0),
+    "nilpotent-E01": ([rat_mat(4, [[int((i, j) == (0, 1)) for j in range(4)]
+                                   for i in range(4)])], 0),
+    "projection": ([_PROJECTION], 0),
+    "reflection-and-projection": ([_diag4(-1, 1, 1, 1), _PROJECTION], 1),
+}
+
+
+@pytest.mark.parametrize("make", [closure, MatrixGroup], ids=["closure", "MatrixGroup"])
+@pytest.mark.parametrize("case", SINGULAR_GENERATORS)
+def test_group_of_unknown_order_refuses_a_singular_generator(make, case):
+    # the mod-p closure would close these finite semigroups as if they were
+    # groups; the generators are refused when the group is made
+    gens, index = SINGULAR_GENERATORS[case]
+    with pytest.raises(ValueError, match=f"^generator {index} is not invertible$"):
+        make(gens)
+
+
+def test_generator_check_passes_every_catalog_group():
+    # the catalog's known orders rest on theory; its generators pass the
+    # check that a group of unknown order gets
+    labels = [*IRREDUCIBLE_LABELS, *(f"I2({k})" for k in range(2, 9)), *BIG_FACTOR_LABELS]
+    for label in labels:
+        groups._check_generators(catalog_group(label).generators)
+
+
+def test_known_order_skips_the_generator_check(monkeypatch):
+    def refuse(gens):
+        raise AssertionError("generators checked")
+
+    monkeypatch.setattr(groups, "_check_generators", refuse)
+    gens = catalog_group("B3").generators
+    assert MatrixGroup(gens, order=48).order == 48
+    with pytest.raises(AssertionError):
+        MatrixGroup(gens)
