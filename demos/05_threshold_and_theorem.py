@@ -30,14 +30,8 @@ print(f"\nm0 (plane counting): {res.m0_planes}")
 print(f"m0 (total counting): {res.m0_total}")
 
 print("\nthe certificate at m = m0:")
-rep = verify_theorem(res.m0_planes)
-cert = rep.certificate
-print(f"  part (i)   {cert['part_i_direct']['checked_groups']} standard positions, "
-      f"pass={cert['part_i_direct']['pass']}")
-print(f"  part (ii)  {cert['part_ii_counting']['inequality']}")
-print(f"  part (iii) {cert['part_iii_structural']['route']}, "
-      f"pass={cert['part_iii_structural']['pass']}")
-print(f"  verdict: {rep.verdict}")
+for line in verify_theorem(res.m0_planes).human_lines():
+    print(f"  {line}")
 
 print("\nthe small-m survey (standard positions):")
 for row in survey_containments(2, 6, 6):

@@ -1,8 +1,11 @@
-"""Command-line interface: verification subcommands with JSON certificates.
+"""Command-line interface: verification subcommands with canonical JSON reports.
 
-Exit status: 0 when every verdict passes, 1 when any verdict fails (only
-lemma-plane and theorem print a witness; --json holds every certificate),
-2 for usage or configuration errors.
+Each subcommand is one run in `_COMMANDS`, returning the lines to print, the
+--json payload and the exit code.  A claim prints its summary, its verdict
+line, and, when it failed, the lines that explain the failure.  Exit status:
+0 when every verdict passes, 1 when any verdict fails (--json holds every
+report), 2 for usage or configuration errors: a refused command prints
+nothing on stdout, only its error on stderr.
 
 The --json report file is canonical: keys sorted, runtime omitted, so reruns
 produce byte-identical output.  Every command runs on one thread; --jobs N is
@@ -46,21 +49,6 @@ from rotref.verify import (
 )
 
 USAGE_ERROR = 2
-
-# the claim subcommands and their verifiers, each called by its name in this
-# module, so that a wrapper installed over that name sees the call
-_CLAIMS = {
-    "lemma-ag": lambda args: verify_lemma_AG(args.m),
-    "rotation": lambda args: verify_rotation_group(args.m),
-    "lemma-plane": lambda args: verify_lemma_plane(args.m, args.samples, args.seed),
-    "dichotomy": lambda args: verify_dichotomy(args.p, args.q),
-    "threshold": lambda args: verify_threshold(),
-    "theorem": lambda args: verify_theorem(args.m),
-}
-
-
-def _dump_json(path: str, payload: dict):
-    Path(path).write_text(_canonical_json(payload), encoding="utf-8")
 
 
 def _canonical_json(payload) -> str:
@@ -121,52 +109,91 @@ def _write_json(obj, nl: str, out: list):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_report(rep, json_path) -> int:
-    """Print a claim's report, its summary lines first and the detail of a
-    failure last, and write its canonical JSON file if asked; returns the
-    process exit code."""
-    cert = rep.certificate
-    if rep.claim_id == "threshold":
-        for label, row in sorted(cert["per_group"].items()):
-            print(f"  {label:8s} planes={row['planes']:4d} total={row['total']:5d}")
-        print(f"  m0_planes={cert['m0_planes']}  m0_total={cert['m0_total']}")
-    if rep.claim_id == "theorem":
-        print(f"part (i)   direct non-containment: "
-              f"{'pass' if cert['part_i_direct']['pass'] else 'FAIL'} "
-              f"({cert['part_i_direct']['checked_groups']} groups)")
-        pii = cert["part_ii_counting"]
-        print(f"part (ii)  counting certificate:   "
-              f"{'applicable: ' + pii['inequality'] if pii['applicable'] else 'not applicable, m < m0_planes'}")
-        piii = cert["part_iii_structural"]
-        print(f"part (iii) structural certificate: "
-              f"{'pass' if piii['pass'] else 'FAIL'}")
-    for line in rep.human_lines():
-        print(line)
-    if json_path:
-        _dump_json(json_path, {"reports": [rep.to_json_dict()]})
-    if rep.passed:
-        return 0
-    _print_failure_detail(rep)
-    return 1
+def _claim(rep):
+    return list(rep.human_lines()), {"reports": [rep.to_json_dict()]}, 0 if rep.passed else 1
 
 
-def _print_failure_detail(rep):
-    cert = rep.certificate
-    if rep.claim_id == "lemma-plane" and "witnesses" in cert:
-        print("falsification witnesses (literal at-most-one claim):")
-        for w in cert["witnesses"]:
-            print(f"  met zeta-plane indices {w['met_indices']}")
-        corrected = cert["corrected_bound"]
-        print(
-            "corrected bound (one antipodal phase class): "
-            + ("holds" if corrected["holds"] else "FAILS")
-        )
-    if rep.claim_id == "theorem":
-        found = cert["part_i_direct"].get("containments_found")
-        if found:
-            print(f"containment found in standard position(s): {found}")
-            print("the non-containment statement concerns sufficiently large m;")
-            print("see the threshold subcommand for the explicit bound")
+def _catalog(args):
+    rows = []
+    for g in enumerate_degree4_catalog(args.k_max):
+        row = {
+            "label": g.name,
+            "conductor": g.conductor,
+            "big_factor": parse_label(g.name).has_big_factor,
+        }
+        if args.orders:
+            row["order"] = g.order
+        rows.append(row)
+    lines = [
+        f"irreducible factors: {' '.join(IRREDUCIBLE_LABELS)} I2(k)",
+        f"degree-4 catalog with k <= {args.k_max} ({len(rows)} entries):",
+        *(f"  {'*' if row['big_factor'] else ' '} {row['label']:16s} L={row['conductor']:3d}"
+          + (f" order={row['order']}" if args.orders else "") for row in rows),
+        "(* = contains an irreducible factor of degree 3 or 4)",
+    ]
+    return lines, {"catalog": rows}, 0
+
+
+def _group(args):
+    grp = _group_from_ref(args.ref)
+    classes = dict(sorted(Counter(c.tag for c in grp.element_classes()).items()))
+    lines = [
+        f"name: {grp.name}",
+        f"ambient dimension: {grp.ambient_dim}, conductor: {grp.conductor}",
+        f"order: {grp.order}, generators: {len(grp.generators)}",
+        f"element classes: {classes}",
+    ]
+    return lines, {**group_to_json(grp), "order": grp.order, "element_classes": classes}, 0
+
+
+def _arrangement(args):
+    grp = _group_from_ref(args.ref)
+    method = args.method
+    if method == "auto":
+        method = "reflection" if generated_by_reflections(grp) else "isotropy"
+    arr = (
+        reflection_arrangement(grp)
+        if method == "reflection"
+        else isotropy_arrangement(grp)
+    )
+    lines = [
+        f"group: {grp.name}, method: {method}",
+        f"members by dimension: {dict(sorted(arr.dim_counts().items()))}",
+        f"total members: {arr.size}",
+    ]
+    # built only when asked: arrangement_to_json reads the exact members,
+    # which a reflection arrangement builds the first time they are read
+    payload = None
+    if args.json:
+        payload = {**arrangement_to_json(arr), "group": grp.name, "method": method}
+    return lines, payload, 0
+
+
+def _survey(args):
+    rows = survey_containments(args.m_min, args.m_max, args.k_max)
+    lines = ["exploratory survey (standard positions only; not a verification)"]
+    lines += [
+        f"  m={row['m']:2d}: contained in {', '.join(row['contained_in']) or 'none'}"
+        for row in rows
+    ]
+    return lines, {"survey": rows}, 0
+
+
+# every subcommand's run: args -> (stdout lines, --json payload, exit code).
+# Each verifier is called by its name in this module, so that a wrapper
+# installed over that name sees the call.
+_COMMANDS = {
+    "lemma-ag": lambda args: _claim(verify_lemma_AG(args.m)),
+    "rotation": lambda args: _claim(verify_rotation_group(args.m)),
+    "lemma-plane": lambda args: _claim(verify_lemma_plane(args.m, args.samples, args.seed)),
+    "dichotomy": lambda args: _claim(verify_dichotomy(args.p, args.q)),
+    "threshold": lambda args: _claim(verify_threshold()),
+    "theorem": lambda args: _claim(verify_theorem(args.m)),
+    "catalog": _catalog,
+    "group": _group,
+    "arrangement": _arrangement,
+    "survey": _survey,
+}
 
 
 def _group_from_ref(ref: str):
@@ -225,7 +252,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="explicit largeness thresholds from the big-factor catalog")
 
     p = sub.add_parser("theorem", parents=[common],
-                       help="the three-part non-containment certificate")
+                       help="the three-part non-containment theorem")
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("catalog", parents=[common], help="catalog utilities")
@@ -265,83 +292,15 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
-
-    claim = _CLAIMS.get(cmd)
-    if claim is not None:
-        return _emit_report(claim(args), args.json)
-
-    if cmd == "catalog":
-        groups = enumerate_degree4_catalog(args.k_max)
-        print("irreducible factors:", " ".join(IRREDUCIBLE_LABELS), "I2(k)")
-        print(f"degree-4 catalog with k <= {args.k_max} ({len(groups)} entries):")
-        rows = []
-        for g in groups:
-            entry = parse_label(g.name)
-            row = {
-                "label": g.name,
-                "conductor": g.conductor,
-                "big_factor": entry.has_big_factor,
-            }
-            if args.orders:
-                g.ensure_elements()
-                row["order"] = g.order
-            rows.append(row)
-            flag = "*" if row["big_factor"] else " "
-            order = f" order={row['order']}" if args.orders else ""
-            print(f"  {flag} {row['label']:16s} L={row['conductor']:3d}{order}")
-        print("(* = contains an irreducible factor of degree 3 or 4)")
-        if args.json:
-            _dump_json(args.json, {"catalog": rows})
-        return 0
-
-    if cmd == "group":
-        grp = _group_from_ref(args.ref)
-        hist = Counter(c.tag for c in grp.element_classes())
-        print(f"name: {grp.name}")
-        print(f"ambient dimension: {grp.ambient_dim}, conductor: {grp.conductor}")
-        print(f"order: {grp.order}, generators: {len(grp.generators)}")
-        print(f"element classes: {dict(sorted(hist.items()))}")
-        if args.json:
-            payload = group_to_json(grp)
-            payload["order"] = grp.order
-            payload["element_classes"] = dict(sorted(hist.items()))
-            _dump_json(args.json, payload)
-        return 0
-
-    if cmd == "arrangement":
-        grp = _group_from_ref(args.ref)
-        method = args.method
-        if method == "auto":
-            method = "reflection" if generated_by_reflections(grp) else "isotropy"
-        arr = (
-            reflection_arrangement(grp)
-            if method == "reflection"
-            else isotropy_arrangement(grp)
-        )
-        print(f"group: {grp.name}, method: {method}")
-        print(f"members by dimension: {dict(sorted(arr.dim_counts().items()))}")
-        print(f"total members: {arr.size}")
-        if args.json:
-            payload = arrangement_to_json(arr)
-            payload["group"] = grp.name
-            payload["method"] = method
-            _dump_json(args.json, payload)
-        return 0
-
-    if cmd == "survey":
-        print("exploratory survey (standard positions only; not a verification)")
-        rows = survey_containments(args.m_min, args.m_max, args.k_max)
-        for row in rows:
-            listing = ", ".join(row["contained_in"]) if row["contained_in"] else "none"
-            print(f"  m={row['m']:2d}: contained in {listing}")
-        if args.json:
-            _dump_json(args.json, {"survey": rows})
-        return 0
-
-    raise ValueError(f"unknown command {cmd!r}")  # pragma: no cover
+    lines, payload, code = _COMMANDS[args.command](args)
+    # the file first, so that a path that cannot be written leaves stdout empty
+    if args.json:
+        Path(args.json).write_text(_canonical_json(payload), encoding="utf-8")
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -83,11 +83,17 @@ DIRECT_ARRANGEMENT_M_CAP = 12
 
 @dataclass
 class VerificationReport:
+    """A claim's verdict and certificate, and the lines a person reads: its
+    verifier writes a `summary` and the `detail` that explains a failure,
+    which the canonical JSON (to_json_dict) leaves out."""
+
     claim_id: str
     parameters: dict
     verdict: str  # "pass" | "fail"
     certificate: dict
     runtime_ms: int
+    summary: tuple = ()
+    detail: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -102,17 +108,18 @@ class VerificationReport:
         }
 
     def human_lines(self):
+        """The summary, then the verdict line with the runtime, then the
+        detail when the claim failed."""
+        yield from self.summary
         yield f"[{self.verdict.upper()}] {self.claim_id} {self.parameters} ({self.runtime_ms} ms)"
+        if not self.passed:
+            yield from self.detail
 
 
-def _report(claim_id, parameters, verdict, certificate, t0) -> VerificationReport:
-    return VerificationReport(
-        claim_id=claim_id,
-        parameters=parameters,
-        verdict=verdict,
-        certificate=certificate,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+def _report(claim_id, parameters, verdict, certificate, t0, **lines) -> VerificationReport:
+    """The report, timed from t0; `lines` gives its summary and detail."""
+    runtime_ms = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(claim_id, parameters, verdict, certificate, runtime_ms, **lines)
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +131,15 @@ _CATALOG_ARR_CACHE: dict[str, Arrangement] = {}
 
 
 def wreath_arrangement(m: int) -> Arrangement:
-    arr = _WREATH_ARR_CACHE.get(m)
-    if arr is None:
-        arr = isotropy_arrangement(realified_gmpn_group(m))
-        _WREATH_ARR_CACHE[m] = arr
-    return arr
+    if m not in _WREATH_ARR_CACHE:
+        _WREATH_ARR_CACHE[m] = isotropy_arrangement(realified_gmpn_group(m))
+    return _WREATH_ARR_CACHE[m]
 
 
 def catalog_arrangement(label: str) -> Arrangement:
-    arr = _CATALOG_ARR_CACHE.get(label)
-    if arr is None:
-        arr = reflection_arrangement(catalog_group(label))
-        _CATALOG_ARR_CACHE[label] = arr
-    return arr
+    if label not in _CATALOG_ARR_CACHE:
+        _CATALOG_ARR_CACHE[label] = reflection_arrangement(catalog_group(label))
+    return _CATALOG_ARR_CACHE[label]
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +258,19 @@ def verify_lemma_plane(m: int, samples: int, seed: int) -> VerificationReport:
             "holds": corrected_ok,
         },
     }
+    detail = ()
     if witnesses:
         cert["witnesses"] = witnesses
         cert["note"] = (
             "counts of 2 occur exactly when the sampled ratio is real or "
             "pure imaginary; the literal at-most-one claim fails for even m"
+        )
+        # witnesses exist exactly when the literal claim fails
+        detail = (
+            "falsification witnesses (literal at-most-one claim):",
+            *(f"  met zeta-plane indices {w['met_indices']}" for w in witnesses),
+            "corrected bound (one antipodal phase class): "
+            + ("holds" if corrected_ok else "FAILS"),
         )
     return _report(
         "lemma-plane",
@@ -267,6 +278,7 @@ def verify_lemma_plane(m: int, samples: int, seed: int) -> VerificationReport:
         "pass" if ok else "fail",
         cert,
         t0,
+        detail=detail,
     )
 
 
@@ -325,14 +337,13 @@ def compute_threshold() -> ThresholdResult:
         per_group[label] = {"planes": arr.dim_counts().get(2, 0), "total": arr.size}
     max_planes = max(v["planes"] for v in per_group.values())
     max_total = max(v["total"] for v in per_group.values())
-    result = ThresholdResult(
+    return ThresholdResult(
         max_planes_big_factor=max_planes,
         max_total_big_factor=max_total,
         m0_planes=max(2, max_planes - 1),  # least m with m+2 > max_planes
         m0_total=max(2, max_total - 2),    # least m with m+3 > max_total
         per_group=per_group,
     )
-    return result
 
 
 def verify_threshold() -> VerificationReport:
@@ -342,7 +353,12 @@ def verify_threshold() -> VerificationReport:
     dominant = max(res.per_group, key=lambda k: res.per_group[k]["planes"])
     cert = res.to_json_dict()
     cert["dominant_plane_count_group"] = dominant
-    return _report("threshold", {}, "pass" if ok else "fail", cert, t0)
+    summary = (
+        *(f"  {label:8s} planes={row['planes']:4d} total={row['total']:5d}"
+          for label, row in sorted(res.per_group.items())),
+        f"  m0_planes={res.m0_planes}  m0_total={res.m0_total}",
+    )
+    return _report("threshold", {}, "pass" if ok else "fail", cert, t0, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +500,9 @@ def verify_theorem(m: int) -> VerificationReport:
         part_ii["inequality"] = (
             f"{m}+2 = {m + 2} > {threshold.max_planes_big_factor}"
         )
+        part_ii_line = "applicable: " + part_ii["inequality"]
     else:
-        part_ii["note"] = "not applicable, m < m0_planes"
+        part_ii_line = part_ii["note"] = "not applicable, m < m0_planes"
 
     # -- part (iii): structural certificate, proved in the docstring -------
     part_iii = {
@@ -530,6 +547,17 @@ def verify_theorem(m: int) -> VerificationReport:
         )
 
     verdict = "pass" if (part_i_ok and m >= 3) else "fail"
+    summary = (
+        f"part (i)   direct non-containment: {'pass' if part_i_ok else 'FAIL'} "
+        f"({len(labels)} groups)",
+        f"part (ii)  counting certificate:   {part_ii_line}",
+        f"part (iii) structural certificate: {'pass' if m >= 3 else 'FAIL'}",
+    )
+    detail = (
+        f"containment found in standard position(s): {containments}",
+        "the non-containment statement concerns sufficiently large m;",
+        "see the threshold subcommand for the explicit bound",
+    ) if containments else ()
     cert = {
         "part_i_direct": part_i,
         "part_ii_counting": part_ii,
@@ -540,7 +568,7 @@ def verify_theorem(m: int) -> VerificationReport:
             "positions are checked directly"
         ),
     }
-    return _report("theorem", {"m": m}, verdict, cert, t0)
+    return _report("theorem", {"m": m}, verdict, cert, t0, summary=summary, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +587,8 @@ def survey_containments(m_min: int, m_max: int, k_max: int):
     out = []
     for m in range(m_min, m_max + 1):
         ag = wreath_arrangement(m)
-        containing = []
-        for g in groups:
-            aw = catalog_arrangement(g.name)
-            ok, _ = arrangement_contains(aw, ag)
-            if ok:
-                containing.append(g.name)
+        containing = [
+            g.name for g in groups if arrangement_contains(catalog_arrangement(g.name), ag)[0]
+        ]
         out.append({"m": m, "contained_in": containing})
     return out

@@ -197,6 +197,11 @@ CLI_JSON_SHA256 = {
     "arrangement compute F4 --method reflection": (0, "c58ceeaaf5e6e4afe023d2457925ec4421c8f53e42929260d366f2968b308f4c"),
     "arrangement compute H3xA1 --method reflection": (0, "19529558116a71314f4a6ae5f93f8375afd6b26de29104641ac15d68049e3354"),
     "arrangement compute I2(5)xI2(8) --method reflection": (0, "5787e57c92eaedfafc979ca675324014bd453624a0e9c5faba45c68633ebea1a"),
+    # recorded before every subcommand came to print and write through one
+    # table and one emit
+    "survey --m-min 2 --m-max 4 --k-max 4": (0, "6f481b1177fbef5b9f9c508e5e087104ed43f7ea28c6411ff3a3d66214d6b064"),
+    "catalog list": (0, "2e587a50e8aeb97ad785f6c62c6319d39333951b754187e70f74be02b3ab125d"),
+    "arrangement compute I2(3)xI2(5)": (0, "1637a3ed11aaa3ca5501142023261e9f9d1a7a882a9958580adbeada59c8fdef"),
 }
 
 # `rotref ARGS`: (exit code, SHA-256 of stdout with each "(<n> ms)" written
@@ -209,6 +214,16 @@ CLI_STDOUT_SHA256 = {
     "lemma-ag --m 1": (1, "4f0304c1efa661c5b9cdf045c91dcaa25899ac7460805288fa09b72ad84c95cd"),
     "rotation --m 5": (0, "8cf5c4e433bfd721562eb75cc5cb2bf943f81a7e5513ffb9e1027cd4381e73f2"),
     "dichotomy --p 3 --q 4": (0, "468120848dbe3d1a1ba4edfc5ae4a72a788e02bd8297ad96d5d5add9726b9ca3"),
+    # recorded before every subcommand came to print and write through one
+    # table and one emit
+    "catalog list": (0, "b13feb58bae0f5775787f12b8bdc2e9e4443c5b4c516f66897a55be4c8fa4468"),
+    "catalog list --k-max 3 --orders": (0, "37d73b2e70a9bdaa2cae4d247e4af9624f3db2f107b7a8185e2a56fe66176d69"),
+    "group show H3": (0, "9948facda8dadb7bc53036e24c1395b1f676ce419c5e49bda9908b46defbd62f"),
+    "group show I2(5)xA1x1": (0, "810b82a2888cf8c4062d1836403f2f9ff3e8f24cd5f10f807c08f16b1e703b47"),
+    "arrangement compute I2(3)xI2(5)": (0, "81b608c24ea47be9b28b0cbfd2a1db0749692ec83b63e568432ca05f3041d1e4"),
+    "arrangement compute H3xA1 --method isotropy": (0, "4c5c90408934d17bfa0c0ea3dd2151b36a2055b373f202729bf2c10c1f3e7ad7"),
+    "arrangement compute A3xA1 --method reflection": (0, "ed07b87c68d7e9f6dfd9aaa73a14fabf94355be369db093c2a82c900dcb525a7"),
+    "survey --m-min 2 --m-max 4 --k-max 4": (0, "27dc9daeeef3f39b1ee8875e131f9ffe7647ec708787afe34d0cad397f02e837"),
 }
 
 

@@ -120,6 +120,18 @@ def test_every_public_name_is_exported_or_used():
     assert sorted(set(_PUBLIC_KEPT) - set(unused)) == []
 
 
+def test_cli_reads_no_certificate():
+    # each claim's human lines are built where its certificate is built
+    # (verify.py); the CLI prints them and knows no certificate's layout
+    tree = ast.parse((SRC / "cli.py").read_text(), "cli.py")
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "certificate"
+    ]
+    assert found == []
+
+
 # perfbench's install probe pins arrangements.subspace_contains
 _PINNED_IMPORTS = {("arrangements", "subspace_contains")}
 

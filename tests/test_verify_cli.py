@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -212,10 +213,23 @@ def test_survey_finds_no_small_factor_container():
 
 
 def test_report_json_shape():
-    rep = verify_lemma_AG(4)
-    d = rep.to_json_dict()
-    assert set(d) == {"claim_id", "parameters", "verdict", "certificate"}
-    json.dumps(d)  # serializable
+    # the human lines stay out of the canonical JSON; they are the summary,
+    # the verdict line, and the detail of a failure only
+    theorem_4 = verify.verify_theorem(4)
+    for rep in (verify_lemma_AG(4), verify.verify_threshold(), theorem_4):
+        d = rep.to_json_dict()
+        assert set(d) == {"claim_id", "parameters", "verdict", "certificate"}
+        json.dumps(d)  # serializable
+        lines = list(rep.human_lines())
+        k = len(rep.summary)
+        assert lines[:k] == list(rep.summary)
+        assert lines[k].startswith(f"[{rep.verdict.upper()}] {rep.claim_id} ")
+        assert lines[k + 1:] == ([] if rep.passed else list(rep.detail))
+    assert not theorem_4.passed and len(theorem_4.summary) == 3
+    assert list(theorem_4.human_lines())[-1] == "see the threshold subcommand for the explicit bound"
+    rep = verify.verify_theorem(721)
+    assert rep.passed and rep.detail == ()
+    assert list(rep.human_lines())[-1].startswith("[PASS] theorem ")
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -569,7 +583,20 @@ def test_cli_rejects_wreath_group_above_cap_at_once(args):
 
 
 def test_cli_survey_out_of_range(capsys):
+    # a refused command prints nothing on stdout and one error line
     assert main(["survey", "--m-min", "2", "--m-max", "40"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_unwritable_json_path_prints_nothing(tmp_path, capsys):
+    # the report is written before any line is printed, so a --json path
+    # that cannot be written refuses the command with stdout empty
+    assert main(["lemma-ag", "--m", "3", "--json", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -605,6 +632,11 @@ def test_cli_theorem_builds_the_wreath_arrangement_once(monkeypatch, fresh_cache
 
 def test_cli_builds_its_parser_once():
     assert cli._parser() is cli._parser()
+
+
+def test_cli_parses_exactly_the_subcommands_it_runs():
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(cli._COMMANDS)
 
 
 def test_cli_parser_keeps_nothing_between_calls(tmp_path, capsys):
