@@ -317,14 +317,9 @@ def reflection_arrangement(w: MatrixGroup) -> Arrangement:
     and the origin, which is cut from a line and certified 0 mod p.  An
     over-cap group raises before anything is returned.
 
-    The facts above hold for finite groups only; the route takes w as
-    MatrixGroup checked it (groups._check_generators).  An infinite group
-    that passes that check stops at the cap when it has more than
-    DEFAULT_CLOSURE_CAP flats mod p, as the (2,3,7) triangle group does in
-    its Tits representation.  One with fewer (an affine Weyl group in its
-    Tits representation has finitely many flats) is not detected, and flats
-    are returned for it.  (b) for the finite group <s> alone still makes
-    each flat built reduce to its key, so the flats returned are distinct.
+    The facts above hold for finite groups only.  w is one: a group of
+    unknown order is enumerated and proved finite when it is made
+    (groups.MatrixGroup).
 
     Moves that only repeat earlier ones are skipped.  I - s-bar = v f^T
     for a normal f of H_s-bar (see _mirror_mod_p), so s-bar^2 = I -

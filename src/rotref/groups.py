@@ -19,8 +19,8 @@ the exact checks that back them (_Elements).
 
 The catalog is one table, _FACTORS: each family's degree, order, conductor
 and generator builder, with I2(k) derived from k.  parse_label is the one
-check on a label, _check_generators on a group's generators, and _Elements
-on its size.
+check on a label, and _Elements the one proof of a group's size and
+finiteness: a group of unknown order is enumerated when it is made.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "BIG_FACTOR_LABELS",
     "group_to_json",
     "group_from_json",
-    "element_order",
 ]
 
 DEFAULT_CLOSURE_CAP = 20000
@@ -97,11 +96,13 @@ class ClosureCapExceeded(RuntimeError):
 
 class MatrixGroup:
     """A finite matrix group: generators, plus the full element list in
-    deterministic BFS order, enumerated modulo p on first use (_Elements).
+    deterministic BFS order, enumerated modulo p (_Elements).
 
-    `order` is the group order when theory gives it; the enumeration must
-    then reach exactly that many elements.  Without it the generators are
-    checked here (_check_generators), and the enumeration exactly."""
+    `order` is the group order when theory gives it; the enumeration, run
+    on first use, must then reach exactly that many elements.  Without it
+    the group is proved finite here: each generator must be invertible
+    (_check_generators), and the group is enumerated and confirmed exactly,
+    or ClosureCapExceeded is raised."""
 
     def __init__(self, generators, ambient_dim=None, conductor=None, name=None,
                  order=None):
@@ -116,14 +117,15 @@ class MatrixGroup:
                     raise ConductorMismatch("generators must share one conductor")
         elif ambient_dim is None or conductor is None:
             raise ValueError("empty generator list needs ambient_dim and conductor")
-        if order is None:
-            _check_generators(generators)
         self.generators = generators
         self.ambient_dim = ambient_dim
         self.conductor = conductor
         self.name = name
         self.known_order = order
         self._elements = None
+        if order is None:
+            _check_generators(generators)
+            self.ensure_elements()
 
     def ensure_elements(self):
         """The elements as a sequence of exact matrices in BFS order; each
@@ -287,9 +289,6 @@ class _Elements(Sequence):
                 exact[k] = g
         return g
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def fixed_keys(self) -> tuple:
         """For every element g, the F_p RREF (cyclo._ModImage.rref) of the
         rows of g - I mod p: a canonical key of the annihilator of
@@ -303,70 +302,32 @@ class _Elements(Sequence):
         return self._keys
 
 
-def _invertible(g: MatrixF) -> bool:
-    """Whether the square matrix g is invertible.  Full rank mod p of the
-    integral matrix den * g certifies it, as its determinant then reduces
-    to a nonzero value (cyclo._ModImage); otherwise the exact kernel
-    decides, as a singular image proves nothing."""
-    n = g.rows
-    img = _mod_image(g.conductor)
-    rows = [[img.integral(g.nums[i * n + j]) for j in range(n)] for i in range(n)]
-    return img.rank(rows) == n or kernel(g).dim == 0
-
-
-def _trace(g: MatrixF) -> CycNum:
-    return sum((g.entry(i, i) for i in range(1, g.rows)), g.entry(0, 0))
+def _null_space(m: MatrixF) -> Subspace:
+    """{v : m v = 0} for a square m.  Full rank mod p of the integral
+    matrix den * m certifies that this is 0, as det m then reduces to a
+    nonzero value (cyclo._ModImage); otherwise the exact kernel decides, as
+    a singular image proves nothing."""
+    n = m.rows
+    img = _mod_image(m.conductor)
+    rows = [[img.integral(v) for v in m.nums[i * n : (i + 1) * n]] for i in range(n)]
+    if img.rank(rows) == n:
+        return Subspace.zero_space(n, m.conductor)
+    return kernel(m)
 
 
 def _check_generators(generators):
-    """Check the generators of a group of unknown order, in this order:
-    each is invertible (else ValueError "generator i is not invertible") and
-    p-integral (else ValueError, cyclo._ModImage.residues); each, and each
-    product of two, has an integral trace and an order within the closure
-    cap (element_order), as in any finite group, else ClosureCapExceeded.
-    A trace is an algebraic integer, a sum of roots of unity, exactly when
-    its denominator is 1, as the powers of zeta_L in the canonical form are
-    an integral basis of Z[zeta_L].  A shear has trace 2 and fails on its
-    order."""
+    """Each generator of a group of unknown order must be invertible, else
+    ValueError "generator i is not invertible": the closure mod p would
+    close a finite semigroup as if it were a group."""
     for i, g in enumerate(generators):
-        if not _invertible(g):
+        if not _null_space(g).is_zero():
             raise ValueError(f"generator {i} is not invertible")
-    for g in generators:
-        _mod_image(g.conductor).residues(g)
-    elems = list(generators)
-    elems += [s @ t for i, s in enumerate(generators) for t in generators[i + 1:]]
-    if any(_trace(g).den != 1 for g in elems):
-        raise ClosureCapExceeded(
-            "group not finite: a generator or a product of two has a "
-            "trace that is not an algebraic integer"
-        )
-    for g in elems:
-        element_order(g)
 
 
 def closure(generators, name=None) -> MatrixGroup:
-    """Breadth-first closure of a generator list into a full MatrixGroup of
-    unknown order, checked and confirmed exactly (MatrixGroup)."""
-    grp = MatrixGroup(generators, name=name)
-    grp.ensure_elements()
-    return grp
-
-
-def element_order(g: MatrixF) -> int:
-    """The order k of g's image mod p (cyclo._ModImage), the size of its
-    cyclic closure (_residue_bfs), confirmed by g^k = I exactly.  Reduction
-    is injective on a finite <g> (module docstring), so that is g's order,
-    and a failed confirmation means infinite order.  It raises
-    ClosureCapExceeded then, or when k passes the closure cap, and
-    ValueError when p divides g's denominator."""
-    img = _mod_image(g.conductor)
-    k = len(_residue_bfs([img.residues(g)], g.rows, img.p, DEFAULT_CLOSURE_CAP)[0])
-    power = g  # g^k by binary powering, from the leading bit of k
-    for bit in bin(k)[3:]:
-        power = power @ power @ g if bit == "1" else power @ power
-    if not power.is_identity():
-        raise ClosureCapExceeded("group not finite: an element has infinite order")
-    return k
+    """The group of unknown order that the generators generate, enumerated
+    and confirmed exactly when it is made (MatrixGroup)."""
+    return MatrixGroup(generators, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -385,28 +346,11 @@ class ElementClass:
 
 
 def fixed_space(g: MatrixF) -> Subspace:
-    """The 1-eigenspace of g, i.e. the kernel of (g - I).
-
-    When the integral matrix den * (g - I) is nonsingular mod p, so is
-    g - I: its determinant reduces to a nonzero value (cyclo._ModImage).
-    Then Fix(g) = 0 and no kernel is computed.  Otherwise the kernel is
-    computed exactly, as a singular image proves nothing."""
+    """The 1-eigenspace of g, the null space of g - I (_null_space), cached
+    on g."""
     fs = g._fixed
     if fs is None:
-        n, den = g.rows, g.den
-        img = _mod_image(g.conductor)
-        rows = [
-            [
-                img.integral(g.nums[i * n + j]) - (den if i == j else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if img.rank(rows) == n:
-            fs = Subspace.zero_space(n, g.conductor)
-        else:
-            fs = kernel(g - MatrixF.identity(n, g.conductor))
-        g._fixed = fs
+        fs = g._fixed = _null_space(g - MatrixF.identity(g.rows, g.conductor))
     return fs
 
 
@@ -887,7 +831,8 @@ def group_to_json(g: MatrixGroup) -> dict:
 def group_from_json(d: dict) -> MatrixGroup:
     """Parse a group file; a missing key, a value of the wrong JSON type or
     an ambient or conductor above its cap (checked first) raises
-    ValueError.  MatrixGroup then checks the generators (_check_generators)."""
+    ValueError.  The group has no known order, so MatrixGroup enumerates it
+    and proves it finite, or raises."""
     try:
         L = int_from_json(d["conductor"])
         n = int_from_json(d["ambient"])

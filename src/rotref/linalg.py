@@ -138,9 +138,6 @@ class MatrixF:
     def row(self, i: int) -> tuple[CycNum, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == MatrixF.identity(self.rows, self.conductor)
-
     # -- arithmetic -------------------------------------------------------
 
     def __matmul__(self, other: "MatrixF") -> "MatrixF":
@@ -310,9 +307,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     @property
     def key(self):
         k = self._key
@@ -341,13 +335,7 @@ class Subspace:
         kernel of these functionals."""
         ann = self._ann
         if ann is None:
-            if self.is_zero():
-                ident = MatrixF.identity(self.ambient_dim, self.conductor)
-                ann = tuple(ident.row(i) for i in range(self.ambient_dim))
-            else:
-                ann = _kernel_of_rows(
-                    list(self.basis), self.ambient_dim, self.conductor
-                )
+            ann = _kernel_of_rows(list(self.basis), self.ambient_dim, self.conductor)
             self._ann = ann
         return ann
 
@@ -453,10 +441,6 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     annihilator rows one at a time; v is the common kernel of those rows, so
     the last cut is exactly u meet v."""
     _check_ambient(u, v)
-    if u.is_full():
-        return v
-    if v.is_full():
-        return u
     d = u.dim + v.dim
     img = _mod_image(u.conductor)
     if u.is_zero() or v.is_zero() or (

@@ -32,7 +32,6 @@ from rotref.groups import (
     classify,
     closure,
     direct_sum,
-    element_order,
     enumerate_degree4_catalog,
     fixed_space,
     gmpn_generators,
@@ -57,6 +56,10 @@ from rotref.arrangements import (
     zeta_plane,
 )
 from rotref.arrangements import _block_rank, _mirror_mod_p
+
+
+def _is_identity(g):
+    return g == MatrixF.identity(g.rows, g.conductor)
 
 
 # -- joint fixed spaces ----------------------------------------------------------
@@ -180,7 +183,7 @@ def _naive_isotropy(group):
     distinct seed containing it."""
     first = {}
     for i, g in enumerate(group.elements):
-        if not g.is_identity():
+        if not _is_identity(g):
             fs = fixed_space(g)
             first.setdefault(fs.key, (fs, i))
     members = {k: s for k, (s, _) in first.items()}
@@ -212,7 +215,7 @@ def test_isotropy_matches_naive_meet_fixpoint(make, origin_is_seed):
     got = {s.key: p["fixing_elements"] for s, p in zip(arr.subspaces, arr.provenance)}
     assert got == _naive_isotropy(group)
     origin = Subspace.zero_space(group.ambient_dim, group.conductor).key
-    seeds = {fixed_space(g).key for g in group.elements if not g.is_identity()}
+    seeds = {fixed_space(g).key for g in group.elements if not _is_identity(g)}
     assert origin in got and (origin in seeds) == origin_is_seed
 
 
@@ -286,7 +289,7 @@ def _conjugated_by_h(label):
         return MatrixF.from_rows([[CycNum.rational(L, x) for x in r] for r in rows])
 
     h, h_inv = matrix(_H), matrix(_rational_inverse(_H))
-    assert (h @ h_inv).is_identity() and h_inv.den == 11
+    assert _is_identity(h @ h_inv) and h_inv.den == 11
     return MatrixGroup([h @ s @ h_inv for s in g.generators], order=g.order), h
 
 
@@ -458,7 +461,7 @@ def test_reflection_provenance_built_on_read(monkeypatch):
 
 def _order_3_reflection():
     """diag(zeta_3, 1), the generator of G(3,1,2) that is not an involution."""
-    (s,) = [s for s in gmpn_generators(3, 1, 2) if not (s @ s).is_identity()]
+    (s,) = [s for s in gmpn_generators(3, 1, 2) if not _is_identity(s @ s)]
     return s
 
 
@@ -486,7 +489,7 @@ def test_reflection_vector_gives_the_reflection(label):
         assert any(f) and len(key) == n - 1 and img.rref(key) == key
         assert not any(sum(a * b for a, b in zip(f, row)) % p for row in key)
         assert key == img.rref(fixed_space(s).mod_basis_rows())
-        assert involution == (s @ s).is_identity()
+        assert involution == _is_identity(s @ s)
 
 
 REPLAY_LABELS = BIG_FACTOR_LABELS + tuple(
@@ -547,23 +550,31 @@ def test_flat_search_eliminates_only_the_mirrors(monkeypatch):
 
 
 def test_reflection_arrangement_computes_no_closure():
-    fresh = MatrixGroup(catalog_group("H3").generators, name="H3")
-    arr = reflection_arrangement(fresh)
-    assert fresh._elements is None
-    assert arr.dim_counts() == {0: 1, 1: 31, 2: 15}
+    # a group of known order is finite by theory, and the reflection route
+    # enumerates none of the big-factor groups
+    for label in BIG_FACTOR_LABELS:
+        known = catalog_group(label)
+        fresh = MatrixGroup(known.generators, name=label, order=known.known_order)
+        arr = reflection_arrangement(fresh)
+        assert fresh._elements is None, label
+        if label == "H3":
+            assert arr.dim_counts() == {0: 1, 1: 31, 2: 15}
 
 
 def test_reflection_arrangement_confirms_no_element_order(monkeypatch):
     # a catalog group is finite by theory and its generators are never
-    # checked, so the reflection route confirms no order on its own
+    # checked, so the reflection route runs no mod-p closure and no
+    # generator check on its own
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return element_order(g)
+    def counted(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(groups, "element_order", counted)
-    monkeypatch.setattr(arrangements, "element_order", counted, raising=False)
+    for name in ("_residue_bfs", "_check_generators"):
+        monkeypatch.setattr(groups, name, counted(name, getattr(groups, name)))
     for label in BIG_FACTOR_LABELS:
         reflection_arrangement(catalog_group(label))
         assert calls == [], label
@@ -691,7 +702,7 @@ def _q(a, b=1):
 
 
 # each maker returns the generators of an infinite group: MatrixGroup
-# refuses the first two when they are made
+# refuses all when they are made
 
 def _infinite_dihedral_group():
     # reflections in the roots (1, 0) and (1, 2): their mirrors meet at the
@@ -725,7 +736,20 @@ def _triangle_group_237():
     return [s1, s2, s3]
 
 
-INFINITE_GROUPS = [_infinite_dihedral_group, _shear_group, _triangle_group_237]
+def _affine_a2():
+    # the affine Weyl group of type A2 in its Tits representation,
+    # s_i e_j = e_j + e_i for j != i: it has finitely many flats, so a flat
+    # search never reaches its cap, and only the enumeration refuses it
+    return [
+        MatrixF.from_rows(
+            [[_q(-1 if j == i else 1) if r == i else _q(int(r == j)) for j in range(3)]
+             for r in range(3)]
+        )
+        for i in range(3)
+    ]
+
+
+INFINITE_GROUPS = [_infinite_dihedral_group, _shear_group, _triangle_group_237, _affine_a2]
 
 
 @pytest.mark.parametrize("make", INFINITE_GROUPS)
@@ -1097,8 +1121,8 @@ def test_lemma_1_blocks_in_a_non_orthogonal_position(p, q):
     w = catalog_group(f"I2({p})xI2({q})")
     L = w.conductor
     t, t_inv = _elementary_product(L, [(0, 2, 1), (3, 1, -1), (1, 0, 2), (2, 3, 1)])
-    assert (t @ t_inv).is_identity()
-    assert not (t @ t.transpose()).is_identity()
+    assert _is_identity(t @ t_inv)
+    assert not _is_identity(t @ t.transpose())
     moved = MatrixGroup([t @ g @ t_inv for g in w.generators])
     columns = t.transpose()
     v1 = Subspace.from_rows(4, [columns.row(0), columns.row(1)])
@@ -1213,7 +1237,7 @@ def _block_conjugate(label):
 
     t = matrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, "1/2"], [0, 0, 1, -2]])
     t_inv = matrix([[1, -1, 0, 0], [-1, 2, 0, 0], [0, 0, "4/13", "1/13"], [0, 0, "2/13", "-6/13"]])
-    assert (t @ t_inv).is_identity() and t_inv.den == 13
+    assert _is_identity(t @ t_inv) and t_inv.den == 13
     return MatrixGroup([t @ g @ t_inv for g in w.generators], name=f"T.{label}")
 
 

@@ -880,9 +880,9 @@ def test_cli_singular_generator_exits_2(generators, index, command, tmp_path, ca
 
 def test_group_file_check_falls_back_to_the_exact_kernel(tmp_path, capsys):
     # diag(p, 1) is singular mod p but invertible: the exact kernel lets it
-    # through, and its infinite order is refused instead
+    # through, and the group is refused as not finite instead
     path = _group_file(tmp_path / "group.json", (_P4, 0, 0, 1))
-    with pytest.raises(groups.ClosureCapExceeded, match="infinite order"):
+    with pytest.raises(groups.ClosureCapExceeded, match="not finite"):
         groups.group_from_json(json.loads(path.read_text()))
     assert main(["group", "show", str(path)]) == 2
     assert "not invertible" not in capsys.readouterr().err
